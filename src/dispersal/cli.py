@@ -204,7 +204,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             }
         )
     else:
-        result = welfare_optimum(instance, seed=args.seed)
+        result = welfare_optimum(instance)
         _emit(
             {
                 "mode": args.mode,
@@ -212,7 +212,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "site_order": site_order,
                 "payoff": _round9(result.payoff),
                 "coverage": _round9(coverage(instance.profile, instance.players, result.strategy)),
-                "exhaustive": result.exhaustive,
             }
         )
     return EXIT_OK
@@ -300,7 +299,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         instance = GameInstance(profile, players, CongestionPolicy.from_table((1.0, c)))
         equilibrium = solve_ifd(instance)
         cover_ifd = coverage(profile, players, equilibrium.strategy)
-        welfare = welfare_optimum(instance, seed=args.seed)
+        welfare = welfare_optimum(instance)
         cover_welfare = coverage(profile, players, welfare.strategy)
         lines.append(f"{c:.9f},{cover_ifd:.9f},{cover_optimal:.9f},{cover_welfare:.9f}")
 
@@ -368,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["sigma-star", "ifd", "welfare-opt"],
         help="sigma-star: closed-form optimum; ifd: symmetric equilibrium; welfare-opt: best individual payoff",
     )
-    solve.add_argument("--seed", type=int, default=0, help="seed for the welfare-opt restarts")
     solve.set_defaults(func=cmd_solve)
 
     spoa = sub.add_parser("spoa", help="symmetric price of anarchy of an instance")
@@ -387,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--c-max", type=float, required=True, help="highest collision weight (< 1)")
     sweep.add_argument("--steps", type=int, required=True, help="number of grid points")
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.add_argument("--seed", type=int, default=0, help="seed for the welfare searches")
     sweep.set_defaults(func=cmd_sweep)
 
     sim = sub.add_parser("simulate", help="seeded Monte Carlo run of a symmetric strategy")

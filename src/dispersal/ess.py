@@ -10,7 +10,6 @@ exact payoff ties required at every earlier m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,25 +63,14 @@ def mixture_payoff(
     """Average payoff of ``focal`` against k-1 opponents drawn from a mixed population.
 
     Each opponent is independently a resident with probability 1 - epsilon
-    and a mutant with probability epsilon; the average is the binomial mix
-    of the pure-profile payoffs. At epsilon 0 or 1 it reduces exactly to
-    the corresponding pure profile.
+    and a mutant with probability epsilon, so every opponent plays the
+    mixed strategy (1 - epsilon) * resident + epsilon * mutant. At epsilon
+    0 or 1 it reduces exactly to the corresponding pure profile.
     """
     _check(0.0 <= epsilon <= 1.0, f"epsilon: must lie in [0, 1], got {epsilon}")
-    k = instance.players
-    total = 0.0
-    for residents in range(k):
-        mutants = k - 1 - residents
-        weight = (
-            math.comb(k - 1, residents)
-            * (1.0 - epsilon) ** residents
-            * epsilon**mutants
-        )
-        if weight == 0.0:
-            continue
-        opponents = [resident] * residents + [mutant] * mutants
-        total += weight * expected_payoff_profile(instance, focal, opponents)
-    return total
+    _check(resident.size == mutant.size, "mutant: strategy size must match the resident's")
+    mixed = Strategy.from_array((1.0 - epsilon) * resident.as_array() + epsilon * mutant.as_array())
+    return expected_payoff_profile(instance, focal, [mixed] * (instance.players - 1))
 
 
 def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: Strategy) -> EssVerdict:

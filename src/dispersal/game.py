@@ -256,25 +256,54 @@ def payoff_single(instance: GameInstance, site: int, occupancy: int) -> float:
     return instance.profile.values[site - 1] * instance.policy.at(occupancy)
 
 
+def _collision_pmfs(opponent_probs: np.ndarray) -> np.ndarray:
+    """Poisson-binomial pmfs of the opponent count at every site.
+
+    ``opponent_probs`` is (n, M): row i holds opponent i's selection
+    probabilities. Returns (M, n + 1), row x being the pmf of how many
+    opponents pick site x, by the O(n^2) dynamic program over opponents
+    run for all sites at once.
+    """
+    n, m = opponent_probs.shape
+    pmf = np.zeros((m, n + 1))
+    pmf[:, 0] = 1.0
+    for i, q in enumerate(opponent_probs):
+        q = q[:, None]
+        moved = pmf[:, : i + 1] * q
+        pmf[:, : i + 1] *= 1.0 - q
+        pmf[:, 1 : i + 2] += moved
+    return pmf
+
+
 def collision_distribution(opponent_probs) -> CollisionDistribution:
     """Exact distribution of the number of opponents hitting a site.
 
     Each opponent independently selects the site with its own probability;
-    the result is the Poisson-binomial pmf, computed by the standard
-    O(n^2) dynamic program over opponents. For identical entries it reduces
-    to the binomial distribution.
+    the result is the Poisson-binomial pmf. For identical entries it
+    reduces to the binomial distribution.
     """
-    probs = [float(q) for q in opponent_probs]
+    probs = np.asarray([float(q) for q in opponent_probs])
     for i, q in enumerate(probs):
         _check(0.0 <= q <= 1.0, f"opponent_probs[{i}]: must lie in [0, 1], got {q}")
-    pmf = [1.0]
-    for q in probs:
-        nxt = [0.0] * (len(pmf) + 1)
-        for count, w in enumerate(pmf):
-            nxt[count] += w * (1.0 - q)
-            nxt[count + 1] += w * q
-        pmf = nxt
-    return CollisionDistribution(tuple(pmf))
+    return CollisionDistribution(tuple(_collision_pmfs(probs.reshape(-1, 1))[0]))
+
+
+def congestion_kernel(policy: CongestionPolicy, players: int):
+    """Evaluator of E[C(1 + B)] with B ~ Binomial(players - 1, p).
+
+    The binomial coefficients are folded into the weights once, so the
+    returned function only evaluates the polynomial; it maps an array of
+    probabilities to an array of the same shape.
+    """
+    counts = np.arange(players)
+    folded = np.array([math.comb(players - 1, j) * c for j, c in enumerate(policy.weights(players))])
+    tail = players - 1 - counts
+
+    def response(p: np.ndarray) -> np.ndarray:
+        pm = p[..., None]
+        return (pm**counts * (1.0 - pm) ** tail) @ folded
+
+    return response
 
 
 def congestion_response(policy: CongestionPolicy, players: int, probs) -> np.ndarray:
@@ -284,14 +313,7 @@ def congestion_response(policy: CongestionPolicy, players: int, probs) -> np.nda
     counts co-selecting opponents in a symmetric field. Decreasing in p
     whenever C is non-constant on 1..players.
     """
-    p = np.asarray(probs, dtype=float)
-    k = players
-    w = policy.weights(k)
-    counts = np.arange(k)
-    coeff = np.array([math.comb(k - 1, int(j)) for j in counts], dtype=float)
-    pm = p[..., None]
-    pmf = coeff * pm**counts * (1.0 - pm) ** (k - 1 - counts)
-    return pmf @ w
+    return congestion_kernel(policy, players)(np.asarray(probs, dtype=float))
 
 
 def site_values(instance: GameInstance, strategy: Strategy) -> np.ndarray:
@@ -329,18 +351,9 @@ def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) 
     _check(focal.size == instance.sites, "focal: strategy size must match the number of sites")
     for j, opp in enumerate(opponents):
         _check(opp.size == instance.sites, f"opponents[{j}]: strategy size must match the number of sites")
-    weights = instance.policy.weights(instance.players)
-    total = 0.0
-    for x in range(instance.sites):
-        fx = focal.probs[x]
-        if fx == 0.0:
-            continue
-        dist = collision_distribution([opp.probs[x] for opp in opponents])
-        expected_weight = math.fsum(
-            weights[count] * p for count, p in enumerate(dist.probs_by_count)
-        )
-        total += fx * instance.profile.values[x] * expected_weight
-    return total
+    pmfs = _collision_pmfs(np.array([opp.probs for opp in opponents]).reshape(-1, instance.sites))
+    expected_weight = pmfs @ instance.policy.weights(instance.players)
+    return float(np.sum(focal.as_array() * instance.profile.as_array() * expected_weight))
 
 
 def coverage(profile: ValueProfile, players: int, strategy: Strategy) -> float:

@@ -89,7 +89,7 @@ def _play_rounds(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     sites = np.stack(
         [_player_sites(s, rounds, config.seed, i) for i, s in enumerate(config.strategies)]
     )
-    occupancy = np.zeros((m, rounds), dtype=np.int16)
+    occupancy = np.zeros((m, rounds), dtype=np.min_scalar_type(k))
     for x in range(m):
         occupancy[x] = (sites == x).sum(axis=0)
     round_index = np.arange(rounds)

@@ -19,12 +19,11 @@ import numpy as np
 
 from .game import (
     SUPPORT_EPS,
-    CongestionPolicy,
     GameInstance,
     Strategy,
-    ValidationError,
     ValueProfile,
     _check,
+    congestion_kernel,
     coverage,
     site_values,
 )
@@ -38,6 +37,12 @@ OUTER_REL_TOL = 1e-13
 MAX_ITERATIONS = 200
 
 IFD_RESIDUAL_TOL = 1e-8
+
+# The welfare search is exact on the simplex grid with this step, then
+# refined by pairwise exchanges until the exchange step falls below the
+# second constant.
+WELFARE_GRID_STEP = 1e-3
+WELFARE_REFINE_STEP = 1e-7
 
 
 class SolverError(RuntimeError):
@@ -91,16 +96,10 @@ class EquilibriumReport:
 
 @dataclass(frozen=True)
 class WelfareOptimum:
-    """Best symmetric strategy found for the expected individual payoff.
-
-    ``exhaustive`` is True when the search covered a full simplex grid
-    (small site counts); otherwise the result is the best of multiple
-    seeded local searches and carries no global guarantee.
-    """
+    """Best symmetric strategy found for the expected individual payoff."""
 
     strategy: Strategy
     payoff: float
-    exhaustive: bool
 
 
 def coverage_optimum(profile: ValueProfile, players: int) -> CoverageOptimum:
@@ -170,21 +169,6 @@ def verify_ifd(instance: GameInstance, strategy: Strategy, tolerance: float = IF
     )
 
 
-def _response_evaluator(policy: CongestionPolicy, players: int):
-    """Precompiled E[C(1 + B(p))] evaluator for repeated bisection calls."""
-    counts = np.arange(players)
-    folded = np.array(
-        [math.comb(players - 1, int(j)) * policy.at(int(j) + 1) for j in counts]
-    )
-    tail = players - 1 - counts
-
-    def response(p: np.ndarray) -> np.ndarray:
-        pm = p[:, None]
-        return (pm**counts * (1.0 - pm) ** tail) @ folded
-
-    return response
-
-
 def _site_probs_for_value(f: np.ndarray, response, floor_weight: float, target: float) -> np.ndarray:
     """Per-site probabilities that equalize the site value at ``target``.
 
@@ -234,7 +218,7 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         return verify_ifd(instance, Strategy.point_mass(1, instance.sites))
 
     f = profile.as_array()
-    response = _response_evaluator(policy, players)
+    response = congestion_kernel(policy, players)
     floor_weight = policy.at(players)
     lo = float(f[0] * floor_weight)
     hi = float(f[0])
@@ -288,30 +272,6 @@ def symmetric_payoff(instance: GameInstance, strategy: Strategy) -> float:
     return float(np.dot(strategy.as_array(), site_values(instance, strategy)))
 
 
-def _payoff_batch(f: np.ndarray, policy: CongestionPolicy, players: int, batch: np.ndarray) -> np.ndarray:
-    """Symmetric expected payoff for every row of the (n, M) ``batch``."""
-    k = players
-    w = policy.weights(k)
-    acc = np.zeros(batch.shape)
-    for j in range(k):
-        acc += w[j] * math.comb(k - 1, j) * batch**j * (1.0 - batch) ** (k - 1 - j)
-    return (batch * f * acc).sum(axis=1)
-
-
-def _simplex_grid(m: int, step: float) -> np.ndarray:
-    n = round(1.0 / step)
-    if m == 1:
-        return np.ones((1, 1))
-    if m == 2:
-        first = np.arange(n + 1) / n
-        return np.column_stack([first, 1.0 - first])
-    if m == 3:
-        i = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
-        j = np.concatenate([np.arange(n + 1 - v) for v in range(n + 1)])
-        return np.column_stack([i, j, n - i - j]) / n
-    raise ValidationError(f"simplex grid enumeration supports up to 3 sites, got {m}")
-
-
 def _exchange_refine(objective, probs: np.ndarray, step: float, min_step: float) -> np.ndarray:
     """Hill-climb on the simplex by moving mass between site pairs.
 
@@ -349,54 +309,64 @@ def _exchange_refine(objective, probs: np.ndarray, step: float, min_step: float)
     return probs
 
 
-def welfare_optimum(
-    instance: GameInstance,
-    grid_step: float = 1e-3,
-    refine_step: float = 1e-7,
-    restarts: int = 32,
-    seed: int = 0,
-) -> WelfareOptimum:
+def _allocate_units(gain: np.ndarray) -> np.ndarray:
+    """Best split of n probability units across sites for a separable objective.
+
+    ``gain`` is (M, n + 1): ``gain[s, u]`` is what site s contributes when
+    it gets u of the n units. Returns the unit count per site that
+    maximizes the summed gain, found exactly by the resource-allocation
+    recursion over sites (Ibaraki & Katoh 1988). The last site enters only
+    at the full budget, so it costs one vector operation.
+    """
+    m, width = gain.shape
+    best = gain[0]
+    picks = np.zeros((m, width), dtype=np.int64)
+    for s in range(1, m - 1):
+        new_best = np.empty(width)
+        for t in range(width):
+            cand = gain[s, : t + 1] + best[t::-1]
+            c = int(cand.argmax())
+            picks[s, t] = c
+            new_best[t] = cand[c]
+        best = new_best
+    if m > 1:
+        picks[m - 1, width - 1] = np.argmax(gain[m - 1] + best[::-1])
+
+    counts = np.zeros(m, dtype=np.int64)
+    remaining = width - 1
+    for s in range(m - 1, 0, -1):
+        counts[s] = picks[s, remaining]
+        remaining -= counts[s]
+    counts[0] = remaining
+    return counts
+
+
+def welfare_optimum(instance: GameInstance) -> WelfareOptimum:
     """Symmetric strategy maximizing the expected individual payoff.
 
-    Up to 3 sites the search is an exhaustive simplex grid at ``grid_step``
-    followed by local refinement down to ``refine_step``. For more sites it
-    falls back to ``restarts`` seeded local searches from random interior
-    points; that result is best-effort and flagged ``exhaustive=False``.
+    The payoff sum_x p(x) * value(x) * E[C(1 + B(p(x)))] is separable by
+    site, so the allocation DP finds its exact optimum on the simplex grid
+    with step ``WELFARE_GRID_STEP``; pairwise-exchange refinement then
+    polishes that point down to ``WELFARE_REFINE_STEP``.
     """
     f = instance.profile.as_array()
-    m = instance.sites
+    response = congestion_kernel(instance.policy, instance.players)
 
     def objective(batch: np.ndarray) -> np.ndarray:
-        return _payoff_batch(f, instance.policy, instance.players, batch)
+        return (batch * f * response(batch)).sum(axis=1)
 
-    if m == 1:
-        strategy = Strategy((1.0,))
-        return WelfareOptimum(strategy, symmetric_payoff(instance, strategy), True)
-
-    if m <= 3:
-        grid = _simplex_grid(m, grid_step)
-        start = grid[int(np.argmax(objective(grid)))]
-        best = _exchange_refine(objective, start, grid_step, refine_step)
-        return WelfareOptimum(Strategy.from_array(best), float(objective(best[None, :])[0]), True)
-
-    rng = np.random.default_rng(seed)
-    starts = [np.full(m, 1.0 / m)]
-    starts.extend(rng.dirichlet(np.ones(m)) for _ in range(max(0, restarts - 1)))
-    best_probs, best_val = None, -math.inf
-    for start in starts:
-        candidate = _exchange_refine(objective, np.asarray(start), 0.05, refine_step)
-        val = float(objective(candidate[None, :])[0])
-        if val > best_val:
-            best_probs, best_val = candidate, val
-    assert best_probs is not None
-    return WelfareOptimum(Strategy.from_array(best_probs), best_val, False)
+    n = round(1.0 / WELFARE_GRID_STEP)
+    units = np.arange(n + 1) / n
+    start = _allocate_units(f[:, None] * (units * response(units))) / n
+    best = _exchange_refine(objective, start, WELFARE_GRID_STEP, WELFARE_REFINE_STEP)
+    return WelfareOptimum(Strategy.from_array(best), float(objective(best[None, :])[0]))
 
 
 def coverage_grid_oracle(profile: ValueProfile, players: int, grid_step: float) -> tuple[Strategy, float]:
     """Best coverage over the simplex grid with resolution ``grid_step``.
 
     Exhausts every grid point (all ways of splitting 1/step probability
-    units across sites) through a per-site allocation table, so the result
+    units across sites) through the per-site allocation DP, so the result
     is the exact grid optimum. Intended purely as an independent check of
     the closed-form optimum; limited to 4 sites.
     """
@@ -407,25 +377,7 @@ def coverage_grid_oracle(profile: ValueProfile, players: int, grid_step: float) 
     _check(n >= 1 and abs(n * grid_step - 1.0) < 1e-9, f"grid_step: must evenly divide 1, got {grid_step}")
     f = profile.as_array()
     units = np.arange(n + 1) / n
-    gain = f[:, None] * (1.0 - (1.0 - units[None, :]) ** players)  # (m, n+1)
-
-    best = gain[0].copy()
-    picks = np.zeros((m, n + 1), dtype=np.int32)
-    for s in range(1, m):
-        new_best = np.empty(n + 1)
-        for t in range(n + 1):
-            cand = gain[s, : t + 1] + best[t::-1]
-            c = int(np.argmax(cand))
-            picks[s, t] = c
-            new_best[t] = cand[c]
-        best = new_best
-
-    counts = np.zeros(m, dtype=np.int64)
-    remaining = n
-    for s in range(m - 1, 0, -1):
-        counts[s] = picks[s, remaining]
-        remaining -= counts[s]
-    counts[0] = remaining
+    counts = _allocate_units(f[:, None] * (1.0 - (1.0 - units[None, :]) ** players))
     strategy = Strategy.from_array(counts / n)
     return strategy, coverage(profile, players, strategy)
 

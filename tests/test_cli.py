@@ -50,7 +50,6 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["strategy"] == [0.5, 0.5]
         assert payload["payoff"] == 0.375
-        assert payload["exhaustive"] is True
 
     def test_zero_value_rejected_with_field_path(self, tmp_path, capsys):
         path = write_instance(tmp_path, values=[1.0, 0.0])

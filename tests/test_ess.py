@@ -1,6 +1,8 @@
+from math import comb
+
 import numpy as np
 import pytest
-from conftest import log_uniform_profile, random_strategy
+from conftest import log_uniform_profile, random_nonexclusive_table, random_strategy
 
 from dispersal import (
     CongestionPolicy,
@@ -27,7 +29,32 @@ def exclusive(profile, players=2):
     return GameInstance(profile, players, CongestionPolicy.exclusive())
 
 
+def binomial_mix_of_pure_profiles(instance, focal, resident, mutant, epsilon):
+    """Average over the number r of resident opponents, r ~ Binomial(k-1, 1-epsilon)."""
+    k = instance.players
+    return sum(
+        comb(k - 1, r)
+        * (1.0 - epsilon) ** r
+        * epsilon ** (k - 1 - r)
+        * expected_payoff_profile(instance, focal, [resident] * r + [mutant] * (k - 1 - r))
+        for r in range(k)
+    )
+
+
 class TestMixturePayoff:
+    def test_matches_binomial_mix_of_pure_profiles(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            sites = int(rng.integers(1, 7))
+            players = int(rng.integers(2, 8))
+            profile = log_uniform_profile(rng, sites)
+            instance = GameInstance(profile, players, random_nonexclusive_table(rng, players))
+            focal, resident, mutant = (random_strategy(rng, sites) for _ in range(3))
+            epsilon = float(rng.uniform(0.0, 1.0))
+            expected = binomial_mix_of_pure_profiles(instance, focal, resident, mutant, epsilon)
+            value = mixture_payoff(instance, focal, resident, mutant, epsilon)
+            assert value == pytest.approx(expected, abs=1e-12 * profile.values[0])
+
     def test_boundaries_reduce_to_pure_profiles(self):
         rng = np.random.default_rng(2)
         instance = exclusive(log_uniform_profile(rng, 4), 4)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -237,6 +238,25 @@ class TestExpectedPayoffProfile:
                     np.dot(focal.as_array(), site_values(instance, resident))
                 )
                 assert got == pytest.approx(want, abs=1e-12)
+
+    def test_heterogeneous_opponents_match_enumeration(self):
+        rng = np.random.default_rng(7)
+        policy = CongestionPolicy.from_table((1.0, 0.6, -0.1, -0.5))
+        for _ in range(10):
+            sites = int(rng.integers(1, 5))
+            players = int(rng.integers(2, 5))
+            profile = log_uniform_profile(rng, sites)
+            instance = GameInstance(profile, players, policy)
+            focal = random_strategy(rng, sites)
+            opponents = [random_strategy(rng, sites) for _ in range(players - 1)]
+            want = 0.0
+            for picks in itertools.product(range(sites), repeat=players - 1):
+                chance = math.prod(o.probs[x] for o, x in zip(opponents, picks))
+                for x in range(sites):
+                    occupancy = 1 + picks.count(x)
+                    want += chance * focal.probs[x] * profile.values[x] * policy.at(occupancy)
+            got = expected_payoff_profile(instance, focal, opponents)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestCoverage:

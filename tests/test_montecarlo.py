@@ -93,6 +93,13 @@ class TestSimulate:
         report = simulate(SimConfig.symmetric(200, 11, instance, Strategy.point_mass(1, 2)))
         assert report.mean_payoff_per_player == (-1.0, -1.0)
 
+    def test_occupancy_counts_do_not_wrap_beyond_int16(self):
+        players = 33_000
+        instance = GameInstance(ValueProfile((1.0,)), players, CongestionPolicy.sharing())
+        report = simulate(SimConfig.symmetric(1, 0, instance, Strategy((1.0,))))
+        assert report.mean_payoff_per_player == (1.0 / players,) * players
+        assert report.mean_coverage == 1.0
+
 
 class TestPlayerStreams:
     def test_stream_depends_only_on_seed_and_player_index(self):

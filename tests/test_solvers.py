@@ -165,7 +165,6 @@ class TestWelfareOptimum:
         result = welfare_optimum(exclusive(ValueProfile((1.0, 1.0))))
         assert result.strategy.probs == pytest.approx((0.5, 0.5), abs=1e-7)
         assert result.payoff == pytest.approx(0.5, abs=1e-9)
-        assert result.exhaustive
 
     def test_single_site_forced(self):
         instance = GameInstance(ValueProfile((0.8,)), 3, CongestionPolicy.sharing())
@@ -188,17 +187,29 @@ class TestWelfareOptimum:
         )
         assert result.payoff >= best - 1e-9
 
-    def test_multistart_path_flags_no_guarantee(self):
+    def test_five_sites_beat_uniform(self):
         instance = GameInstance(log_uniform_profile(np.random.default_rng(8), 5), 3, CongestionPolicy.sharing())
-        result = welfare_optimum(instance, restarts=8, seed=1)
-        assert not result.exhaustive
+        result = welfare_optimum(instance)
         assert result.payoff >= symmetric_payoff(instance, Strategy.uniform(5)) - 1e-12
 
-    def test_seeded_multistart_is_reproducible(self):
+    def test_deterministic_across_calls(self):
         instance = GameInstance(log_uniform_profile(np.random.default_rng(8), 5), 3, CongestionPolicy.sharing())
-        a = welfare_optimum(instance, restarts=4, seed=5)
-        b = welfare_optimum(instance, restarts=4, seed=5)
+        a = welfare_optimum(instance)
+        b = welfare_optimum(instance)
         assert a.strategy.probs == b.strategy.probs
+        assert a.payoff == b.payoff
+
+    def test_sharing_optimum_is_coverage_optimum_over_players(self):
+        # Under sharing each player's payoff is coverage / k, so the welfare
+        # optimum must reach the closed-form optimum's coverage over k.
+        rng = np.random.default_rng(81)
+        for _ in range(8):
+            sites = int(rng.integers(2, 21))
+            players = int(rng.integers(2, 9))
+            profile = log_uniform_profile(rng, sites)
+            result = welfare_optimum(GameInstance(profile, players, CongestionPolicy.sharing()))
+            best = coverage(profile, players, coverage_optimum(profile, players).strategy) / players
+            assert result.payoff == pytest.approx(best, abs=1e-9 * profile.values[0])
 
 
 class TestCoverageGridOracle:
