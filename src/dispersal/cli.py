@@ -25,6 +25,7 @@ from .game import (
     Strategy,
     ValidationError,
     ValueProfile,
+    _check,
     coverage,
 )
 from .montecarlo import SimConfig, SimReport, simulate
@@ -42,6 +43,8 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 DEFAULT_ROUNDS = 100_000
+
+INSTANCE_FIELDS = ("values", "players", "policy")
 
 
 def _round9(value: float) -> float:
@@ -72,166 +75,98 @@ def _emit(payload: dict, out_path: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-class InstanceFileError(ValidationError):
-    """Instance file failed validation; message carries the field path."""
-
-
-def _parse_instance_file(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as handle:
-            raw = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise InstanceFileError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceFileError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise InstanceFileError(f"{path}: top level must be an object")
-
-    allowed = {"values", "players", "policy"}
-    for key in raw:
-        if key not in allowed:
-            raise InstanceFileError(f"{path}: unknown field {key!r}")
-    for key in ("values", "players", "policy"):
-        if key not in raw:
-            raise InstanceFileError(f"{path}: missing field {key!r}")
-
-    values = raw["values"]
-    if not isinstance(values, list) or not values:
-        raise InstanceFileError(f"{path}: values: must be a non-empty list")
-    for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InstanceFileError(f"{path}: values[{i}]: must be a number")
-
-    players = raw["players"]
-    if not isinstance(players, int) or isinstance(players, bool) or players < 1:
-        raise InstanceFileError(f"{path}: players: must be an integer >= 1")
-
-    policy = raw["policy"]
-    if not isinstance(policy, dict):
-        raise InstanceFileError(f"{path}: policy: must be an object")
-    for key in policy:
-        if key not in {"type", "table"}:
-            raise InstanceFileError(f"{path}: policy.{key}: unknown field")
-    ptype = policy.get("type")
-    if ptype not in ("exclusive", "sharing", "table"):
-        raise InstanceFileError(f"{path}: policy.type: must be 'exclusive', 'sharing', or 'table'")
-    table = policy.get("table")
-    if ptype == "table":
-        if not isinstance(table, list) or not table:
-            raise InstanceFileError(f"{path}: policy.table: must be a non-empty list")
-        for i, c in enumerate(table):
-            if not isinstance(c, (int, float)) or isinstance(c, bool):
-                raise InstanceFileError(f"{path}: policy.table[{i}]: must be a number")
-    elif table is not None:
-        raise InstanceFileError(f"{path}: policy.table: only allowed when type is 'table'")
-
-    return {"values": values, "players": players, "ptype": ptype, "table": table}
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # syntax (line, column), bad bytes, deep nesting
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _build_policy(parsed: dict) -> CongestionPolicy:
-    if parsed["ptype"] == "table":
-        return CongestionPolicy.from_table(parsed["table"])
-    return CongestionPolicy(parsed["ptype"])
+def _load_instance(path: str, min_players: int = 2) -> tuple[ValueProfile, GameInstance | None]:
+    """Profile and game of an instance file; the game is None for the trivial players: 1.
 
-
-def _build_instance(parsed: dict, path: str) -> GameInstance:
+    Only the file's shape and the player count are checked here; every
+    other rule belongs to the domain objects, whose errors get the path.
+    """
+    raw = _load_json(path)
     try:
-        profile = ValueProfile(tuple(parsed["values"]))
-        return GameInstance(profile, parsed["players"], _build_policy(parsed))
+        _check(isinstance(raw, dict), "top level must be an object")
+        for key in raw:
+            _check(key in INSTANCE_FIELDS, f"unknown field {key!r}")
+        for key in INSTANCE_FIELDS:
+            _check(key in raw, f"missing field {key!r}")
+        values, players, policy = (raw[key] for key in INSTANCE_FIELDS)
+        _check(isinstance(values, list), "values: must be a list")
+        _check(type(players) is int and players >= min_players, f"players: must be an integer >= {min_players}")
+        _check(isinstance(policy, dict), "policy: must be an object")
+        for key in policy:
+            _check(key in ("type", "table"), f"policy.{key}: unknown field")
+        table = policy.get("table")
+        _check(table is None or isinstance(table, list), "policy.table: must be a list")
+        profile = ValueProfile(tuple(values))
+        congestion = CongestionPolicy(policy.get("type"), table)
+        if players == 1:
+            print("warning: players=1 is trivial; the lone player picks the best site", file=sys.stderr)
+            return profile, None
+        return profile, GameInstance(profile, players, congestion)
     except ValidationError as exc:
-        raise InstanceFileError(f"{path}: {exc}") from exc
-
-
-def _trivial_single_player(parsed: dict, path: str) -> tuple[ValueProfile, CongestionPolicy]:
-    """Validate the remaining fields for the analytically trivial k=1 case."""
-    try:
-        profile = ValueProfile(tuple(parsed["values"]))
-        policy = _build_policy(parsed)
-    except ValidationError as exc:
-        raise InstanceFileError(f"{path}: {exc}") from exc
-    print("warning: players=1 is trivial; the lone player picks the best site", file=sys.stderr)
-    return profile, policy
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    parsed = _parse_instance_file(args.instance)
-    if parsed["players"] == 1:
-        profile, _ = _trivial_single_player(parsed, args.instance)
+    profile, instance = _load_instance(args.instance, min_players=1)
+    if instance is None:
         strategy = Strategy.point_mass(1, profile.size)
-        _emit(
-            {
-                "mode": args.mode,
-                "strategy": round_distribution(strategy.probs),
-                "support_size": 1,
-                "common_value": _round9(profile.values[0]),
-                "note": "single player: point mass on the highest-value site",
-            }
-        )
-        return EXIT_OK
-    instance = _build_instance(parsed, args.instance)
-    # Strategies are reported in canonical (descending-value) site order;
-    # site_order maps each position back to the 1-based input position.
-    site_order = [i + 1 for i in instance.profile.input_order]
-
-    if args.mode == "sigma-star":
-        optimum = coverage_optimum(instance.profile, instance.players)
-        exclusive = GameInstance(instance.profile, instance.players, CongestionPolicy.exclusive())
-        report = verify_ifd(exclusive, optimum.strategy)
-        _emit(
-            {
-                "mode": args.mode,
-                "strategy": round_distribution(optimum.strategy.probs),
-                "site_order": site_order,
-                "support_size": optimum.support_size,
-                "normalizer": _round9(optimum.normalizer),
-                "common_value": _round9(optimum.common_value),
-                "coverage": _round9(coverage(instance.profile, instance.players, optimum.strategy)),
-                "residual": _round9(report.residual),
-            }
-        )
+        details = {
+            "support_size": 1,
+            "common_value": _round9(profile.values[0]),
+            "note": "single player: point mass on the highest-value site",
+        }
+    elif args.mode == "sigma-star":
+        optimum = coverage_optimum(profile, instance.players)
+        strategy = optimum.strategy
+        exclusive = GameInstance(profile, instance.players, CongestionPolicy.exclusive())
+        details = {
+            "support_size": optimum.support_size,
+            "normalizer": _round9(optimum.normalizer),
+            "common_value": _round9(optimum.common_value),
+            "coverage": _round9(coverage(profile, instance.players, strategy)),
+            "residual": _round9(verify_ifd(exclusive, strategy).residual),
+        }
     elif args.mode == "ifd":
         report = solve_ifd(instance)
-        _emit(
-            {
-                "mode": args.mode,
-                "strategy": round_distribution(report.strategy.probs),
-                "site_order": site_order,
-                "support_size": report.support_size,
-                "common_value": _round9(report.common_value),
-                "residual": _round9(report.residual),
-                "boundary": report.boundary_flag,
-                "coverage": _round9(coverage(instance.profile, instance.players, report.strategy)),
-            }
-        )
+        strategy = report.strategy
+        details = {
+            "support_size": report.support_size,
+            "common_value": _round9(report.common_value),
+            "residual": _round9(report.residual),
+            "boundary": report.boundary_flag,
+            "coverage": _round9(coverage(profile, instance.players, strategy)),
+        }
     else:
         result = welfare_optimum(instance)
-        _emit(
-            {
-                "mode": args.mode,
-                "strategy": round_distribution(result.strategy.probs),
-                "site_order": site_order,
-                "payoff": _round9(result.payoff),
-                "coverage": _round9(coverage(instance.profile, instance.players, result.strategy)),
-            }
-        )
+        strategy = result.strategy
+        details = {"payoff": _round9(result.payoff), "coverage": _round9(coverage(profile, instance.players, strategy))}
+    # Strategies are reported in canonical (descending-value) site order;
+    # site_order maps each position back to the 1-based input position.
+    site_order = [i + 1 for i in profile.input_order]
+    _emit({"mode": args.mode, "strategy": round_distribution(strategy.probs), "site_order": site_order, **details})
     return EXIT_OK
 
 
 def cmd_spoa(args: argparse.Namespace) -> int:
-    parsed = _parse_instance_file(args.instance)
-    if parsed["players"] == 1:
-        _trivial_single_player(parsed, args.instance)
-        print("1.000000000")
-        return EXIT_OK
-    instance = _build_instance(parsed, args.instance)
-    print(f"{symmetric_price_of_anarchy(instance):.9f}")
+    _, instance = _load_instance(args.instance, min_players=1)
+    print("1.000000000" if instance is None else f"{symmetric_price_of_anarchy(instance):.9f}")
     return EXIT_OK
 
 
 def cmd_ess_check(args: argparse.Namespace) -> int:
     if args.mutants < 1:
         raise ValidationError(f"--mutants: must be >= 1, got {args.mutants}")
-    instance = _build_instance(_parse_instance_file(args.instance), args.instance)
+    _, instance = _load_instance(args.instance)
     is_exclusive = instance.policy.is_exclusive_on(instance.players)
     if is_exclusive:
         candidate = coverage_optimum(instance.profile, instance.players).strategy
@@ -309,19 +244,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _strategy_from_file(path: str, sites: int) -> Strategy:
+    raw = _load_json(path)
     try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, list):
-        raise ValidationError(f"{path}: strategy file must hold a list of probabilities")
-    strategy = Strategy(tuple(float(p) for p in raw))
-    if strategy.size != sites:
-        raise ValidationError(f"{path}: expected {sites} probabilities, got {strategy.size}")
-    return strategy
+        _check(isinstance(raw, list), "strategy file must hold a list of probabilities")
+        strategy = Strategy(tuple(raw))
+        _check(strategy.size == sites, f"expected {sites} probabilities, got {strategy.size}")
+        return strategy
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _report_payload(report: SimReport) -> dict:
@@ -337,7 +267,7 @@ def _report_payload(report: SimReport) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    instance = _build_instance(_parse_instance_file(args.instance), args.instance)
+    _, instance = _load_instance(args.instance)
     if args.strategy == "sigma-star":
         strategy = coverage_optimum(instance.profile, instance.players).strategy
     elif args.strategy == "ifd":

@@ -20,6 +20,7 @@ from .game import (
     Strategy,
     ValueProfile,
     _check,
+    _site_payoffs,
     expected_payoff_profile,
 )
 from .solvers import coverage_optimum
@@ -53,6 +54,14 @@ class EssVerdict:
     margins: tuple[float, ...]
 
 
+def _mixed_opponents(instance: GameInstance, resident: Strategy, mutant: Strategy, epsilon: float) -> list[Strategy]:
+    """k-1 opponents, each playing (1 - epsilon) * resident + epsilon * mutant."""
+    _check(0.0 <= epsilon <= 1.0, f"epsilon: must lie in [0, 1], got {epsilon}")
+    _check(resident.size == mutant.size, "mutant: strategy size must match the resident's")
+    mixed = Strategy.from_array((1.0 - epsilon) * resident.as_array() + epsilon * mutant.as_array())
+    return [mixed] * (instance.players - 1)
+
+
 def mixture_payoff(
     instance: GameInstance,
     focal: Strategy,
@@ -67,10 +76,7 @@ def mixture_payoff(
     mixed strategy (1 - epsilon) * resident + epsilon * mutant. At epsilon
     0 or 1 it reduces exactly to the corresponding pure profile.
     """
-    _check(0.0 <= epsilon <= 1.0, f"epsilon: must lie in [0, 1], got {epsilon}")
-    _check(resident.size == mutant.size, "mutant: strategy size must match the resident's")
-    mixed = Strategy.from_array((1.0 - epsilon) * resident.as_array() + epsilon * mutant.as_array())
-    return expected_payoff_profile(instance, focal, [mixed] * (instance.players - 1))
+    return expected_payoff_profile(instance, focal, _mixed_opponents(instance, resident, mutant, epsilon))
 
 
 def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: Strategy) -> EssVerdict:
@@ -80,20 +86,19 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
     the first m where the candidate's payoff strictly exceeds the
     mutant's, provided the two tied (within ``EQUALITY_TOL``) at every
     smaller m. It fails if a mix strictly favors the mutant or if no
-    strict win appears by m = k - 1.
+    strict win appears by m = k - 1. Margins are (candidate - mutant) . v,
+    v being the mix's site payoffs, so each mix costs one DP.
     """
-    distance = float(np.max(np.abs(candidate.as_array() - mutant.as_array())))
+    _check(mutant.size == candidate.size, "mutant: strategy size must match the candidate's")
+    difference = candidate.as_array() - mutant.as_array()
     _check(
-        distance > MIN_MUTANT_DISTANCE,
+        float(np.max(np.abs(difference))) > MIN_MUTANT_DISTANCE,
         f"mutant: must differ from the candidate by more than {MIN_MUTANT_DISTANCE} in max-norm",
     )
     k = instance.players
     margins: list[float] = []
     for m in range(k):
-        opponents = [candidate] * (k - m - 1) + [mutant] * m
-        margin = expected_payoff_profile(instance, candidate, opponents) - expected_payoff_profile(
-            instance, mutant, opponents
-        )
+        margin = float(difference @ _site_payoffs(instance, [candidate] * (k - m - 1) + [mutant] * m))
         margins.append(margin)
         if margin > STRICT_MARGIN:
             return EssVerdict(mutant=mutant, passed=True, witness_m=m, margins=tuple(margins))
@@ -177,9 +182,8 @@ def invasion_sweep(
     for eps in epsilons:
         eps = float(eps)
         _check(0.0 < eps < 1.0, f"epsilons: entries must lie in (0, 1), got {eps}")
-        u_resident = mixture_payoff(instance, resident, resident, mutant, eps)
-        u_mutant = mixture_payoff(instance, mutant, resident, mutant, eps)
-        rows.append((eps, u_resident, u_mutant))
+        payoffs = _site_payoffs(instance, _mixed_opponents(instance, resident, mutant, eps))
+        rows.append((eps, float(resident.as_array() @ payoffs), float(mutant.as_array() @ payoffs)))
     return rows
 
 

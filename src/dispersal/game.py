@@ -12,6 +12,8 @@ arbitrary heterogeneous opponents, and the group coverage objective.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,33 @@ def _check(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+# Exact types that skip the numbers.Real ABC check, which is several times
+# slower than all the other per-entry work together.
+_PLAIN_REALS = (float, int, np.float64)
+
+
+def _numbers(values, name: str) -> tuple[float, ...]:
+    """``values`` as a non-empty tuple of finite floats; the one check of numeric input.
+
+    Non-reals, bools included, fail with ``name[i]: must be a number``;
+    NaN, infinities and integers beyond the float range with ``name[i]:
+    must be finite``. Entry paths are formatted only on failure.
+    """
+    entries = tuple(values)
+    _check(len(entries) >= 1, f"{name}: must be a non-empty list")
+    for i, v in enumerate(entries):
+        if type(v) not in _PLAIN_REALS and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+            raise ValidationError(f"{name}[{i}]: must be a number")
+    try:
+        floats = tuple(map(float, entries))
+    except OverflowError:
+        floats = tuple(float(v) if abs(v) <= sys.float_info.max else math.inf for v in entries)
+    if not all(map(math.isfinite, floats)):
+        i = next(i for i, v in enumerate(floats) if not math.isfinite(v))
+        raise ValidationError(f"{name}[{i}]: must be finite")
+    return floats
+
+
 @dataclass(frozen=True)
 class ValueProfile:
     """Site values, canonicalized to non-increasing order.
@@ -49,11 +78,10 @@ class ValueProfile:
     input_order: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        _check(len(vals) >= 1, "values: at least one site is required")
+        vals = _numbers(self.values, "values")
         for i, v in enumerate(vals):
-            _check(math.isfinite(v), f"values[{i}]: must be finite")
-            _check(v > 0.0, f"values[{i}]: must be strictly positive")
+            if not v > 0.0:
+                raise ValidationError(f"values[{i}]: must be strictly positive")
         order = sorted(range(len(vals)), key=lambda i: -vals[i])
         object.__setattr__(self, "values", tuple(vals[i] for i in order))
         object.__setattr__(self, "input_order", tuple(order))
@@ -90,16 +118,11 @@ class CongestionPolicy:
         if self.kind != "table":
             _check(self.table is None, "policy.table: only allowed when type is 'table'")
             return
-        _check(self.table is not None and len(self.table) >= 1, "policy.table: must be a non-empty list")
-        entries = tuple(float(c) for c in self.table)
-        for i, c in enumerate(entries):
-            _check(math.isfinite(c), f"policy.table[{i}]: must be finite")
+        entries = _numbers(() if self.table is None else self.table, "policy.table")
         _check(entries[0] == 1.0, "policy.table[0]: weight for a solo visitor must equal 1")
         for i in range(1, len(entries)):
-            _check(
-                entries[i] <= entries[i - 1],
-                f"policy.table[{i}]: weights must be non-increasing",
-            )
+            if entries[i] > entries[i - 1]:
+                raise ValidationError(f"policy.table[{i}]: weights must be non-increasing")
         object.__setattr__(self, "table", entries)
 
     @classmethod
@@ -112,7 +135,7 @@ class CongestionPolicy:
 
     @classmethod
     def from_table(cls, entries) -> "CongestionPolicy":
-        return cls("table", tuple(float(c) for c in entries))
+        return cls("table", tuple(entries))
 
     def at(self, occupancy: int) -> float:
         """Weight C(l) for a site occupied by ``occupancy`` players."""
@@ -149,11 +172,10 @@ class Strategy:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
-        _check(len(probs) >= 1, "probs: at least one entry required")
+        probs = _numbers(self.probs, "probs")
         for i, p in enumerate(probs):
-            _check(math.isfinite(p), f"probs[{i}]: must be finite")
-            _check(0.0 <= p <= 1.0, f"probs[{i}]: must lie in [0, 1], got {p}")
+            if not 0.0 <= p <= 1.0:
+                raise ValidationError(f"probs[{i}]: must lie in [0, 1], got {p}")
         total = math.fsum(probs)
         _check(
             abs(total - 1.0) <= STRATEGY_SUM_TOL,
@@ -198,8 +220,7 @@ class GameInstance:
     policy: CongestionPolicy
 
     def __post_init__(self) -> None:
-        _check(isinstance(self.players, int), "players: must be an integer")
-        _check(self.players >= 2, f"players: must be >= 2, got {self.players}")
+        _check(type(self.players) is int and self.players >= 2, f"players: must be an integer >= 2, got {self.players}")
         if self.policy.kind == "table":
             assert self.policy.table is not None
             _check(
@@ -336,6 +357,23 @@ def site_value(instance: GameInstance, strategy: Strategy, site: int) -> float:
     return float(site_values(instance, strategy)[site - 1])
 
 
+def _site_payoffs(instance: GameInstance, opponents) -> np.ndarray:
+    """Expected payoff of each site against k-1 explicit opponents.
+
+    Entry x is value(x) * E[C(1 + B_x)], B_x the Poisson-binomial count of
+    opponents on site x; a focal strategy's payoff is its dot product.
+    """
+    opponents = list(opponents)
+    _check(
+        len(opponents) == instance.players - 1,
+        f"opponents: expected {instance.players - 1} strategies, got {len(opponents)}",
+    )
+    for j, opp in enumerate(opponents):
+        _check(opp.size == instance.sites, f"opponents[{j}]: strategy size must match the number of sites")
+    pmfs = _collision_pmfs(np.array([opp.probs for opp in opponents]).reshape(-1, instance.sites))
+    return instance.profile.as_array() * (pmfs @ instance.policy.weights(instance.players))
+
+
 def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) -> float:
     """Expected payoff of ``focal`` against an explicit list of k-1 opponents.
 
@@ -343,17 +381,8 @@ def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) 
     the occupancy distribution is the exact Poisson binomial of the
     opponents' selection probabilities.
     """
-    opponents = list(opponents)
-    _check(
-        len(opponents) == instance.players - 1,
-        f"opponents: expected {instance.players - 1} strategies, got {len(opponents)}",
-    )
     _check(focal.size == instance.sites, "focal: strategy size must match the number of sites")
-    for j, opp in enumerate(opponents):
-        _check(opp.size == instance.sites, f"opponents[{j}]: strategy size must match the number of sites")
-    pmfs = _collision_pmfs(np.array([opp.probs for opp in opponents]).reshape(-1, instance.sites))
-    expected_weight = pmfs @ instance.policy.weights(instance.players)
-    return float(np.sum(focal.as_array() * instance.profile.as_array() * expected_weight))
+    return float(focal.as_array() @ _site_payoffs(instance, opponents))
 
 
 def coverage(profile: ValueProfile, players: int, strategy: Strategy) -> float:

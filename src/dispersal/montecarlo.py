@@ -90,14 +90,17 @@ def _play_rounds(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         [_player_sites(s, rounds, config.seed, i) for i, s in enumerate(config.strategies)]
     )
     occupancy = np.zeros((m, rounds), dtype=np.min_scalar_type(k))
+    # Coverage accumulates site by site: no M x R float temporary, and the
+    # per-round sum runs in site order whatever BLAS the machine has.
+    covered = np.zeros(rounds)
     for x in range(m):
         occupancy[x] = (sites == x).sum(axis=0)
+        covered += f[x] * (occupancy[x] > 0)
     round_index = np.arange(rounds)
     payoffs = np.empty((k, rounds))
     for i in range(k):
         chosen = sites[i]
         payoffs[i] = f[chosen] * weights[occupancy[chosen, round_index] - 1]
-    covered = f @ (occupancy > 0)
     return sites, payoffs, covered
 
 

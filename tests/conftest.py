@@ -1,8 +1,14 @@
 """Shared generators for randomized-instance tests."""
 
 import numpy as np
+from hypothesis import settings
 
 from dispersal import CongestionPolicy, GameInstance, Strategy, ValueProfile
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def log_uniform_profile(rng, sites, low=0.05, high=1.0):

@@ -1,6 +1,11 @@
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersal import Strategy
 from dispersal.cli import main, round_distribution
@@ -68,6 +73,13 @@ class TestSolve:
         assert code == 2
         assert "line" in err
 
+    def test_deeply_nested_json_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"values": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, _, err = run(capsys, ["solve", "--instance", str(path), "--mode", "ifd"])
+        assert code == 2
+        assert "invalid JSON" in err
+
     def test_unknown_policy_type(self, tmp_path, capsys):
         path = write_instance(tmp_path, policy={"type": "mystery"})
         code, _, err = run(capsys, ["solve", "--instance", path, "--mode", "ifd"])
@@ -86,6 +98,15 @@ class TestSolve:
         assert code == 0
         assert "warning" in err
         assert json.loads(out)["strategy"] == [1.0, 0.0]
+
+    def test_single_player_reports_site_order(self, tmp_path, capsys):
+        path = write_instance(tmp_path, values=[0.5, 1.0], players=1)
+        code, out, err = run(capsys, ["solve", "--instance", path, "--mode", "sigma-star"])
+        assert code == 0
+        assert "warning" in err
+        payload = json.loads(out)
+        assert payload["strategy"] == [1.0, 0.0]
+        assert payload["site_order"] == [2, 1]
 
     def test_unsorted_values_are_canonicalized(self, tmp_path, capsys):
         path = write_instance(tmp_path, values=[0.5, 1.0])
@@ -273,10 +294,116 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("content", ['["a", 1]', "[null, 1]", "[true, false]"])
+    def test_strategy_file_entries_must_be_numbers(self, tmp_path, capsys, content):
+        path = write_instance(tmp_path)
+        strategy_path = tmp_path / "strategy.json"
+        strategy_path.write_text(content)
+        code, _, err = run(
+            capsys,
+            ["simulate", "--instance", path, "--strategy", "file",
+             "--strategy-file", str(strategy_path), "--rounds", "100"],
+        )
+        assert code == 2
+        assert f"{strategy_path}: probs[0]: must be a number" in err
+
     def test_file_source_requires_path(self, tmp_path, capsys):
         path = write_instance(tmp_path)
         code, _, _ = run(capsys, ["simulate", "--instance", path, "--strategy", "file"])
         assert code == 2
+
+
+NOT_NUMBERS = st.sampled_from([True, False, None, "1.0", [1.0], {}])
+NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+NOT_LISTS = st.sampled_from(["1.0", 1.0, True, None, {}])
+NOT_OBJECTS = st.sampled_from(["1.0", 1.0, True, None, []])
+FLAWS = (
+    "top-level", "missing-field", "unknown-field", "values", "values-entry", "players",
+    "policy", "policy.type", "policy-unknown-field", "policy.table", "table-entry",
+    "table-not-allowed", "table-too-short",
+)
+
+
+@st.composite
+def malformed_instances(draw):
+    """A valid instance file with exactly one flaw, and the name of the flawed field."""
+    values = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
+    players = draw(st.integers(1, 12))
+    lower = draw(st.lists(st.floats(-1.0, 1.0), min_size=players - 1, max_size=players + 2))
+    table = [1.0, *sorted(lower, reverse=True)]
+    policy = draw(st.sampled_from([{"type": "exclusive"}, {"type": "sharing"}, {"type": "table", "table": table}]))
+    payload = {"values": values, "players": players, "policy": policy}
+    flaw = draw(st.sampled_from(FLAWS))
+    if flaw == "top-level":
+        return draw(NOT_OBJECTS | st.just([payload])), "top level"
+    if flaw == "missing-field":
+        field = draw(st.sampled_from(sorted(payload)))
+        del payload[field]
+        return payload, field
+    if flaw == "unknown-field":
+        field = draw(st.sampled_from(["Values", "seed", "rounds", "extra"]))
+        payload[field] = draw(NOT_LISTS)
+        return payload, field
+    if flaw == "values":
+        payload["values"] = draw(NOT_LISTS | st.just([]))
+        return payload, "values"
+    if flaw == "values-entry":
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = draw(NOT_NUMBERS | NOT_FINITE | st.sampled_from([0, -1.0]))
+        return payload, f"values[{i}]"
+    if flaw == "players":
+        payload["players"] = draw(st.integers(-2, 0) | st.floats() | NOT_NUMBERS)
+        return payload, "players"
+    if flaw == "policy":
+        payload["policy"] = draw(NOT_OBJECTS | st.just([policy]))
+        return payload, "policy"
+    if flaw == "policy.type":
+        policy["type"] = draw(st.sampled_from(["mystery", "Exclusive", 1, None, True, ["table"]]))
+        return payload, "policy.type"
+    if flaw == "policy-unknown-field":
+        field = draw(st.sampled_from(["Type", "weights", "extra"]))
+        policy[field] = 1.0
+        return payload, f"policy.{field}"
+    payload["policy"] = {"type": "table", "table": table}
+    if flaw == "policy.table":
+        payload["policy"]["table"] = draw(NOT_LISTS | st.just([]))
+        return payload, "policy.table"
+    if flaw == "table-entry":
+        i = draw(st.integers(0, len(table) - 1))
+        table[i] = draw(NOT_NUMBERS | NOT_FINITE | st.just(1.5 if i else 0.9))
+        return payload, f"policy.table[{i}]"
+    if flaw == "table-not-allowed":
+        payload["policy"]["type"] = draw(st.sampled_from(["exclusive", "sharing"]))
+        return payload, "policy.table"
+    payload["players"] = max(players, 2)
+    payload["policy"]["table"] = table[: payload["players"] - 1]
+    return payload, "policy.table"
+
+
+@pytest.fixture(scope="module")
+def instance_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+class TestValidationSurface:
+    """Malformed instance files, one flaw each, end in exit 2 naming the field.
+
+    This covers input validation only. Valid inputs that fail later, such
+    as the overflow of the congestion kernel's binomial coefficients for
+    k above about 1030, are solver defects and out of its scope.
+    """
+
+    @settings(max_examples=400)
+    @given(case=malformed_instances())
+    def test_exit_2_names_the_flawed_field(self, instance_dir, case):
+        payload, field = case
+        path = instance_dir / "instance.json"
+        path.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["solve", "--instance", str(path), "--mode", "sigma-star"])
+        assert code == 2
+        assert field in err.getvalue()
 
 
 class TestRoundDistribution:

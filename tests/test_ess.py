@@ -20,7 +20,7 @@ from dispersal import (
     mutant_generator,
     solve_ifd,
 )
-from dispersal.ess import project_to_simplex
+from dispersal.ess import EQUALITY_TOL, MIN_MUTANT_DISTANCE, STRICT_MARGIN, project_to_simplex
 
 TWO_SITES = ValueProfile((1.0, 0.5))
 
@@ -39,6 +39,23 @@ def binomial_mix_of_pure_profiles(instance, focal, resident, mutant, epsilon):
         * expected_payoff_profile(instance, focal, [resident] * r + [mutant] * (k - 1 - r))
         for r in range(k)
     )
+
+
+def two_dp_verdict(instance, candidate, mutant):
+    """The ordered walk with each margin the difference of two full payoff evaluations."""
+    k = instance.players
+    margins = []
+    for m in range(k):
+        opponents = [candidate] * (k - m - 1) + [mutant] * m
+        margins.append(
+            expected_payoff_profile(instance, candidate, opponents)
+            - expected_payoff_profile(instance, mutant, opponents)
+        )
+        if margins[-1] > STRICT_MARGIN:
+            return True, m, margins
+        if abs(margins[-1]) > EQUALITY_TOL:
+            break
+    return False, None, margins
 
 
 class TestMixturePayoff:
@@ -93,6 +110,29 @@ class TestEssCharacterization:
         assert verdict.passed
         assert verdict.witness_m == 0
         assert verdict.margins[0] == pytest.approx(1 / 3 - 0.01, abs=1e-12)
+
+    def test_matches_two_dp_reference(self):
+        # The equilibrium candidate ties with in-support mutants at m = 0,
+        # so the walk goes past the first mix.
+        rng = np.random.default_rng(17)
+        compared = walked = 0
+        for _ in range(30):
+            sites = int(rng.integers(2, 7))
+            players = int(rng.integers(2, 9))
+            profile = log_uniform_profile(rng, sites)
+            instance = GameInstance(profile, players, random_nonexclusive_table(rng, players))
+            candidate = solve_ifd(instance).strategy
+            for mutant in mutant_generator(profile, players, seed=int(rng.integers(2**31)), count=sites + 4):
+                if np.max(np.abs(mutant.as_array() - candidate.as_array())) <= MIN_MUTANT_DISTANCE:
+                    continue
+                verdict = ess_characterization(instance, candidate, mutant)
+                passed, witness_m, margins = two_dp_verdict(instance, candidate, mutant)
+                assert (verdict.passed, verdict.witness_m) == (passed, witness_m)
+                assert verdict.margins == pytest.approx(margins, rel=0, abs=1e-12 * profile.values[0])
+                compared += 1
+                walked += len(margins) > 1
+        assert compared >= 200
+        assert walked >= 80
 
     def test_identical_strategies_rejected(self):
         optimum = coverage_optimum(TWO_SITES, 2).strategy
