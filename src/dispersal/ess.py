@@ -27,8 +27,8 @@ from .solvers import coverage_optimum
 
 # Payoff differences inside this band count as the exact ties the
 # characterization demands; a difference must clear the strict margin to
-# count as a win. The margin sits below the band so that genuine
-# strictness is separated from float noise at unit payoff scales.
+# count as a win. Both scale with f(1); the margin sits below the band so
+# that genuine strictness is separated from float noise.
 EQUALITY_TOL = 1e-10
 STRICT_MARGIN = 1e-12
 
@@ -84,8 +84,8 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
 
     Walks the number of mutant opponents m upward. The verdict passes at
     the first m where the candidate's payoff strictly exceeds the
-    mutant's, provided the two tied (within ``EQUALITY_TOL``) at every
-    smaller m. It fails if a mix strictly favors the mutant or if no
+    mutant's, provided the two tied (within ``EQUALITY_TOL`` * f(1)) at
+    every smaller m. It fails if a mix strictly favors the mutant or if no
     strict win appears by m = k - 1. Margins are (candidate - mutant) . v,
     v being the mix's site payoffs, so each mix costs one DP.
     """
@@ -96,13 +96,14 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
         f"mutant: must differ from the candidate by more than {MIN_MUTANT_DISTANCE} in max-norm",
     )
     k = instance.players
+    scale = instance.profile.values[0]
     margins: list[float] = []
     for m in range(k):
         margin = float(difference @ _site_payoffs(instance, [candidate] * (k - m - 1) + [mutant] * m))
         margins.append(margin)
-        if margin > STRICT_MARGIN:
+        if margin > STRICT_MARGIN * scale:
             return EssVerdict(mutant=mutant, passed=True, witness_m=m, margins=tuple(margins))
-        if abs(margin) > EQUALITY_TOL:
+        if abs(margin) > EQUALITY_TOL * scale:
             break
     return EssVerdict(mutant=mutant, passed=False, witness_m=None, margins=tuple(margins))
 

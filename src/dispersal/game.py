@@ -246,8 +246,7 @@ class CollisionDistribution:
     probs_by_count: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs_by_count)
-        _check(len(probs) >= 1, "probs_by_count: must be non-empty")
+        probs = _numbers(self.probs_by_count, "probs_by_count")
         for i, p in enumerate(probs):
             _check(p >= 0.0, f"probs_by_count[{i}]: must be non-negative")
         total = math.fsum(probs)
@@ -303,7 +302,8 @@ def collision_distribution(opponent_probs) -> CollisionDistribution:
     the result is the Poisson-binomial pmf. For identical entries it
     reduces to the binomial distribution.
     """
-    probs = np.asarray([float(q) for q in opponent_probs])
+    entries = tuple(opponent_probs)
+    probs = np.asarray(_numbers(entries, "opponent_probs") if entries else ())
     for i, q in enumerate(probs):
         _check(0.0 <= q <= 1.0, f"opponent_probs[{i}]: must lie in [0, 1], got {q}")
     return CollisionDistribution(tuple(_collision_pmfs(probs.reshape(-1, 1))[0]))

@@ -80,21 +80,29 @@ def _player_sites(strategy: Strategy, rounds: int, seed: int, player: int) -> np
     return np.searchsorted(cdf, u, side="right").astype(np.int32)
 
 
-def _play_rounds(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate all rounds; returns (sites (k, R), payoffs (k, R), coverage (R,))."""
-    instance = config.instance
-    k, m, rounds = instance.players, instance.sites, config.rounds
-    f = instance.profile.as_array()
-    weights = instance.policy.weights(k)
+def _occupancy(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every player's picks (k, R) and every site's head count (M, R), per round."""
+    k, m, rounds = config.instance.players, config.instance.sites, config.rounds
     sites = np.stack(
         [_player_sites(s, rounds, config.seed, i) for i, s in enumerate(config.strategies)]
     )
     occupancy = np.zeros((m, rounds), dtype=np.min_scalar_type(k))
+    for x in range(m):
+        occupancy[x] = (sites == x).sum(axis=0)
+    return sites, occupancy
+
+
+def _play_rounds(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate all rounds; returns (sites (k, R), payoffs (k, R), coverage (R,))."""
+    instance = config.instance
+    k, rounds = instance.players, config.rounds
+    f = instance.profile.as_array()
+    weights = instance.policy.weights(k)
+    sites, occupancy = _occupancy(config)
     # Coverage accumulates site by site: no M x R float temporary, and the
     # per-round sum runs in site order whatever BLAS the machine has.
     covered = np.zeros(rounds)
-    for x in range(m):
-        occupancy[x] = (sites == x).sum(axis=0)
+    for x in range(instance.sites):
         covered += f[x] * (occupancy[x] > 0)
     round_index = np.arange(rounds)
     payoffs = np.empty((k, rounds))
@@ -137,10 +145,10 @@ def empirical_site_values(config: SimConfig) -> list[float]:
     """Estimated expected payoff of committing to each site.
 
     The resident profile in ``config`` must be symmetric. Each round the
-    k-1 residents (players 1..k-1) sample their sites; a focal player is
-    then forced onto every site in turn and paid accordingly. Returns the
-    per-site mean rewards; the residents' draws are shared across sites,
-    so the M estimates use common random numbers.
+    k-1 residents (players 1..k-1; all k head counts less player 0's pick)
+    sample their sites, and a focal player is paid at every site in turn.
+    Returns the per-site mean rewards; the residents' draws are shared
+    across sites, so the M estimates use common random numbers.
     """
     instance = config.instance
     first = config.strategies[0]
@@ -148,15 +156,7 @@ def empirical_site_values(config: SimConfig) -> list[float]:
         all(s.probs == first.probs for s in config.strategies),
         "strategies: site-value estimation requires a symmetric resident profile",
     )
-    k, m, rounds = instance.players, instance.sites, config.rounds
     f = instance.profile.as_array()
-    weights = instance.policy.weights(k)
-    resident_sites = np.stack(
-        [_player_sites(config.strategies[i], rounds, config.seed, i) for i in range(1, k)]
-    )
-    values = []
-    for x in range(m):
-        co_visitors = (resident_sites == x).sum(axis=0)
-        rewards = f[x] * weights[co_visitors]
-        values.append(float(np.mean(rewards)))
-    return values
+    weights = instance.policy.weights(instance.players)
+    sites, occupancy = _occupancy(config)
+    return [float(np.mean(f[x] * weights[occupancy[x] - (sites[0] == x)])) for x in range(instance.sites)]

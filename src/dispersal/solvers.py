@@ -39,10 +39,11 @@ MAX_ITERATIONS = 200
 IFD_RESIDUAL_TOL = 1e-8
 
 # The welfare search is exact on the simplex grid with this step, then
-# refined by pairwise exchanges until the exchange step falls below the
-# second constant.
+# polished by the same DP on halving local grids, each site moving by up
+# to the window's steps, until the step falls below the second constant.
 WELFARE_GRID_STEP = 1e-3
 WELFARE_REFINE_STEP = 1e-7
+WELFARE_REFINE_WINDOW = 2
 
 
 class SolverError(RuntimeError):
@@ -272,43 +273,6 @@ def symmetric_payoff(instance: GameInstance, strategy: Strategy) -> float:
     return float(np.dot(strategy.as_array(), site_values(instance, strategy)))
 
 
-def _exchange_refine(objective, probs: np.ndarray, step: float, min_step: float) -> np.ndarray:
-    """Hill-climb on the simplex by moving mass between site pairs.
-
-    The step halves each time no pairwise transfer improves the objective,
-    stopping below ``min_step``.
-    """
-    m = probs.size
-    probs = probs.copy()
-    best = float(objective(probs[None, :])[0])
-    while step >= min_step:
-        moved = True
-        while moved:
-            moved = False
-            candidates = []
-            for src in range(m):
-                if probs[src] < step:
-                    continue
-                for dst in range(m):
-                    if dst == src:
-                        continue
-                    cand = probs.copy()
-                    cand[src] -= step
-                    cand[dst] += step
-                    candidates.append(cand)
-            if not candidates:
-                break
-            cand_arr = np.clip(np.array(candidates), 0.0, 1.0)
-            vals = objective(cand_arr)
-            top = int(np.argmax(vals))
-            if vals[top] > best:
-                best = float(vals[top])
-                probs = cand_arr[top]
-                moved = True
-        step /= 2.0
-    return probs
-
-
 def _allocate_units(gain: np.ndarray) -> np.ndarray:
     """Best split of n probability units across sites for a separable objective.
 
@@ -316,7 +280,8 @@ def _allocate_units(gain: np.ndarray) -> np.ndarray:
     it gets u of the n units. Returns the unit count per site that
     maximizes the summed gain, found exactly by the resource-allocation
     recursion over sites (Ibaraki & Katoh 1988). The last site enters only
-    at the full budget, so it costs one vector operation.
+    at the full budget, so it costs one vector operation. A gain of -inf
+    marks a count the site may not take (one outside [0, 1] in a polish).
     """
     m, width = gain.shape
     best = gain[0]
@@ -346,20 +311,29 @@ def welfare_optimum(instance: GameInstance) -> WelfareOptimum:
 
     The payoff sum_x p(x) * value(x) * E[C(1 + B(p(x)))] is separable by
     site, so the allocation DP finds its exact optimum on the simplex grid
-    with step ``WELFARE_GRID_STEP``; pairwise-exchange refinement then
-    polishes that point down to ``WELFARE_REFINE_STEP``.
+    with step ``WELFARE_GRID_STEP``, then polishes that point on halving
+    local grids down to ``WELFARE_REFINE_STEP``, each site moving by up to
+    ``WELFARE_REFINE_WINDOW`` steps and the moves summing to zero.
     """
-    f = instance.profile.as_array()
+    f = instance.profile.as_array()[:, None]
     response = congestion_kernel(instance.policy, instance.players)
-
-    def objective(batch: np.ndarray) -> np.ndarray:
-        return (batch * f * response(batch)).sum(axis=1)
-
     n = round(1.0 / WELFARE_GRID_STEP)
     units = np.arange(n + 1) / n
-    start = _allocate_units(f[:, None] * (units * response(units))) / n
-    best = _exchange_refine(objective, start, WELFARE_GRID_STEP, WELFARE_REFINE_STEP)
-    return WelfareOptimum(Strategy.from_array(best), float(objective(best[None, :])[0]))
+    probs = _allocate_units(f * (units * response(units))) / n
+    # Site x takes u of the w * M units, the move u - w; a lone site keeps
+    # all w, the zero move, so the table is at least one site's moves wide.
+    moves = np.arange(-WELFARE_REFINE_WINDOW, WELFARE_REFINE_WINDOW + 1)
+    width = WELFARE_REFINE_WINDOW * instance.sites + 1
+    gain = np.full((instance.sites, max(width, moves.size)), -np.inf)
+    step = WELFARE_GRID_STEP / 2
+    while step >= WELFARE_REFINE_STEP:
+        local = probs[:, None] + step * moves
+        inside = (local >= 0.0) & (local <= 1.0)
+        gain[:, : moves.size] = np.where(inside, f * (local * response(np.clip(local, 0.0, 1.0))), -np.inf)
+        probs = probs + step * moves[_allocate_units(gain[:, :width])]
+        step /= 2
+    strategy = Strategy.from_array(probs)
+    return WelfareOptimum(strategy, symmetric_payoff(instance, strategy))
 
 
 def coverage_grid_oracle(profile: ValueProfile, players: int, grid_step: float) -> tuple[Strategy, float]:

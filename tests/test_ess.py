@@ -2,6 +2,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from conftest import log_uniform_profile, random_nonexclusive_table, random_strategy
 
 from dispersal import (
@@ -166,6 +168,20 @@ class TestEssCharacterization:
                     assert verdict.witness_m == 0
                 else:
                     assert verdict.witness_m <= 1
+
+    @given(
+        values=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
+        players=st.integers(3, 6),
+        exponent=st.integers(-12, 12),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_no_generated_mutant_invades_at_any_scale(self, values, players, exponent, seed):
+        # The verdict depends on f / f(1) only, so the exclusive optimum
+        # stays stable whatever unit the values are given in.
+        profile = ValueProfile(tuple(v * 10.0**exponent for v in values))
+        optimum = coverage_optimum(profile, players).strategy
+        for mutant in mutant_generator(profile, players, seed=seed, count=20):
+            assert ess_characterization(exclusive(profile, players), optimum, mutant).passed
 
 
 class TestClosedForms:

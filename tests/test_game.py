@@ -153,6 +153,15 @@ class TestCollisionDistribution:
         with pytest.raises(ValidationError):
             CollisionDistribution((1.1, -0.1))
 
+    @pytest.mark.parametrize("entry", ["0.5", True, None])
+    @pytest.mark.parametrize(
+        "build,name",
+        [(collision_distribution, "opponent_probs"), (CollisionDistribution, "probs_by_count")],
+    )
+    def test_entries_must_be_numbers(self, build, name, entry):
+        with pytest.raises(ValidationError, match=rf"^{name}\[0\]: must be a number$"):
+            build([entry, 0.5])
+
 
 class TestSiteValue:
     def test_exclusive_two_player_closed_form(self):

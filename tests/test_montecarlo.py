@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import log_uniform_profile, random_strategy
+from conftest import log_uniform_profile, random_nonexclusive_table, random_strategy
 
 from dispersal import (
     CongestionPolicy,
@@ -151,6 +151,27 @@ class TestEmpiricalSiteValues:
         config = SimConfig(10, 0, EXCLUSIVE, (Strategy((0.5, 0.5)), Strategy((0.6, 0.4))))
         with pytest.raises(ValidationError):
             empirical_site_values(config)
+
+    def test_equals_resident_only_sampling(self):
+        # Reference: sample only the k-1 residents (players 1..k-1) and
+        # count them per site, without the focal player's own pick.
+        def resident_only(config):
+            instance = config.instance
+            k, rounds = instance.players, config.rounds
+            f = instance.profile.as_array()
+            weights = instance.policy.weights(k)
+            residents = np.stack([_player_sites(config.strategies[i], rounds, config.seed, i) for i in range(1, k)])
+            return [float(np.mean(f[x] * weights[(residents == x).sum(axis=0)])) for x in range(instance.sites)]
+
+        rng = np.random.default_rng(52)
+        for sites, players, policy in (
+            (2, 2, CongestionPolicy.exclusive()),
+            (5, 4, CongestionPolicy.sharing()),
+            (7, 6, random_nonexclusive_table(rng, 6)),
+        ):
+            instance = GameInstance(log_uniform_profile(rng, sites), players, policy)
+            config = SimConfig.symmetric(5_000, int(rng.integers(2**32)), instance, random_strategy(rng, sites))
+            assert empirical_site_values(config) == resident_only(config)
 
 
 def test_mean_coverage_consistent_with_analytic_coverage():

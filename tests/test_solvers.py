@@ -20,6 +20,8 @@ from dispersal import (
     welfare_optimum,
 )
 from dispersal.ess import project_to_simplex
+from dispersal.game import congestion_kernel
+from dispersal.solvers import WELFARE_GRID_STEP, WELFARE_REFINE_STEP, _allocate_units
 
 TWO_SITES = ValueProfile((1.0, 0.5))
 
@@ -210,6 +212,55 @@ class TestWelfareOptimum:
             result = welfare_optimum(GameInstance(profile, players, CongestionPolicy.sharing()))
             best = coverage(profile, players, coverage_optimum(profile, players).strategy) / players
             assert result.payoff == pytest.approx(best, abs=1e-9 * profile.values[0])
+
+    def test_matches_pairwise_exchange_polish(self):
+        # Reference: the grid DP's point polished by a hill-climb that moves
+        # one step of mass between a pair of sites while that helps, the
+        # step halving whenever no pair does.
+        def exchange_polish(instance):
+            f = instance.profile.as_array()
+            response = congestion_kernel(instance.policy, instance.players)
+
+            def objective(batch):
+                return (batch * f * response(batch)).sum(axis=1)
+
+            n = round(1.0 / WELFARE_GRID_STEP)
+            units = np.arange(n + 1) / n
+            probs = _allocate_units(f[:, None] * (units * response(units))) / n
+            best = float(objective(probs[None, :])[0])
+            step = WELFARE_GRID_STEP
+            while step >= WELFARE_REFINE_STEP:
+                moved = True
+                while moved:
+                    moved = False
+                    candidates = []
+                    for src, dst in itertools.permutations(range(f.size), 2):
+                        if probs[src] >= step:
+                            cand = probs.copy()
+                            cand[src] -= step
+                            cand[dst] += step
+                            candidates.append(cand)
+                    if not candidates:
+                        break
+                    cand_arr = np.clip(np.array(candidates), 0.0, 1.0)
+                    vals = objective(cand_arr)
+                    top = int(np.argmax(vals))
+                    if vals[top] > best:
+                        best, probs, moved = float(vals[top]), cand_arr[top], True
+                step /= 2.0
+            return probs, best
+
+        rng = np.random.default_rng(66)
+        for i in range(40):
+            sites = int(rng.integers(1, 13))
+            players = int(rng.integers(2, 9))
+            kind = ("exclusive", "sharing", "table")[i % 3]
+            policy = random_nonexclusive_table(rng, players) if kind == "table" else CongestionPolicy(kind)
+            instance = GameInstance(log_uniform_profile(rng, sites), players, policy)
+            probs, payoff = exchange_polish(instance)
+            result = welfare_optimum(instance)
+            assert result.payoff >= payoff - 1e-12 * instance.profile.values[0]
+            assert np.max(np.abs(result.strategy.as_array() - probs)) <= 1e-9
 
 
 class TestCoverageGridOracle:
