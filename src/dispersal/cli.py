@@ -5,7 +5,7 @@ optimum for an instance file), ``spoa`` (symmetric price of anarchy),
 ``ess-check`` (batch stability verification against generated mutants),
 ``sweep`` (two-site competition sweep emitted as CSV plot data), and
 ``simulate`` (seeded Monte Carlo run). Exit codes: 0 success, 2
-validation error, 3 solver non-convergence.
+validation error, 3 solver non-convergence with JSON diagnostics.
 
 Numeric output is fixed at 9 decimal places so repeated runs diff clean.
 """
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:
-        print(f"error: {exc} {exc.diagnostics}", file=sys.stderr)
+        print(f"error: {exc} {json.dumps(exc.diagnostics)}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -314,10 +314,15 @@ def congestion_kernel(policy: CongestionPolicy, players: int):
 
     The binomial coefficients are folded into the weights once, so the
     returned function only evaluates the polynomial; it maps an array of
-    probabilities to an array of the same shape.
+    probabilities to an array of the same shape. Zero weights skip their
+    coefficient, so the exclusive policy takes any number of players; other
+    weights raise ``ValidationError`` from about 1030 players on.
     """
     counts = np.arange(players)
-    folded = np.array([math.comb(players - 1, j) * c for j, c in enumerate(policy.weights(players))])
+    try:
+        folded = np.array([math.comb(players - 1, j) * c if c else 0.0 for j, c in enumerate(policy.weights(players))])
+    except OverflowError:
+        raise ValidationError(f"players: {players} is too many for the binomial weights of the {policy.kind} policy") from None
     tail = players - 1 - counts
 
     def response(p: np.ndarray) -> np.ndarray:

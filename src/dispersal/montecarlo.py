@@ -80,13 +80,11 @@ def _player_sites(strategy: Strategy, rounds: int, seed: int, player: int) -> np
     return np.searchsorted(cdf, u, side="right").astype(np.int32)
 
 
-def _occupancy(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every player's picks (k, R) and every site's head count (M, R), per round."""
-    k, m, rounds = config.instance.players, config.instance.sites, config.rounds
-    sites = np.stack(
-        [_player_sites(s, rounds, config.seed, i) for i, s in enumerate(config.strategies)]
-    )
-    occupancy = np.zeros((m, rounds), dtype=np.min_scalar_type(k))
+def _occupancy(config: SimConfig, players: range) -> tuple[np.ndarray, np.ndarray]:
+    """Picks of the given players (n, R) and every site's head count of them (M, R), per round."""
+    m, rounds = config.instance.sites, config.rounds
+    sites = np.stack([_player_sites(config.strategies[i], rounds, config.seed, i) for i in players])
+    occupancy = np.zeros((m, rounds), dtype=np.min_scalar_type(len(players)))
     for x in range(m):
         occupancy[x] = (sites == x).sum(axis=0)
     return sites, occupancy
@@ -98,7 +96,7 @@ def _play_rounds(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     k, rounds = instance.players, config.rounds
     f = instance.profile.as_array()
     weights = instance.policy.weights(k)
-    sites, occupancy = _occupancy(config)
+    sites, occupancy = _occupancy(config, range(k))
     # Coverage accumulates site by site: no M x R float temporary, and the
     # per-round sum runs in site order whatever BLAS the machine has.
     covered = np.zeros(rounds)
@@ -145,8 +143,8 @@ def empirical_site_values(config: SimConfig) -> list[float]:
     """Estimated expected payoff of committing to each site.
 
     The resident profile in ``config`` must be symmetric. Each round the
-    k-1 residents (players 1..k-1; all k head counts less player 0's pick)
-    sample their sites, and a focal player is paid at every site in turn.
+    k-1 residents (players 1..k-1) sample their sites, and a focal player
+    is paid at every site in turn.
     Returns the per-site mean rewards; the residents' draws are shared
     across sites, so the M estimates use common random numbers.
     """
@@ -158,5 +156,5 @@ def empirical_site_values(config: SimConfig) -> list[float]:
     )
     f = instance.profile.as_array()
     weights = instance.policy.weights(instance.players)
-    sites, occupancy = _occupancy(config)
-    return [float(np.mean(f[x] * weights[occupancy[x] - (sites[0] == x)])) for x in range(instance.sites)]
+    _, occupancy = _occupancy(config, range(1, instance.players))
+    return [float(np.mean(f[x] * weights[occupancy[x]])) for x in range(instance.sites)]

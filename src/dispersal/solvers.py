@@ -29,12 +29,11 @@ from .game import (
 )
 
 # Bisection settings. The inner loop resolves per-site probabilities to
-# 1e-12; the outer loop on the common value runs until its bracket is
-# narrower than 1e-13 * value scale, which leaves enough headroom for the
-# 1e-8 residual contract on the returned equilibrium.
+# 1e-12; the outer loop halves the common value's bracket, over values
+# scaled to value(1) = 1, to about 1e-13, which leaves enough headroom for
+# the 1e-8 residual contract on the returned equilibrium.
 INNER_P_TOL = 1e-12
 OUTER_REL_TOL = 1e-13
-MAX_ITERATIONS = 200
 
 IFD_RESIDUAL_TOL = 1e-8
 
@@ -78,7 +77,8 @@ class EquilibriumReport:
     values across supported sites, or the amount by which an unsupported
     site beats the common value. ``boundary_flag`` marks unsupported sites
     whose value ties the common value within tolerance, where the strict
-    outside-support inequality degenerates.
+    outside-support inequality degenerates. Values, ``residual`` and
+    ``tolerance`` are in the units of the site values.
     """
 
     strategy: Strategy
@@ -141,8 +141,10 @@ def verify_ifd(instance: GameInstance, strategy: Strategy, tolerance: float = IF
 
     Supported sites must share a common expected value and every
     unsupported site must fall strictly below it. Violations are reported
-    through ``residual``, never raised.
+    through ``residual``, never raised. ``tolerance`` is relative to
+    value(1), so the verdict does not depend on the unit of the values.
     """
+    tolerance *= instance.profile.values[0]
     values = site_values(instance, strategy)
     probs = strategy.as_array()
     supported = probs > SUPPORT_EPS
@@ -170,43 +172,16 @@ def verify_ifd(instance: GameInstance, strategy: Strategy, tolerance: float = IF
     )
 
 
-def _site_probs_for_value(f: np.ndarray, response, floor_weight: float, target: float) -> np.ndarray:
-    """Per-site probabilities that equalize the site value at ``target``.
-
-    Site x gets the unique p with value(x) * E[C(1 + B(p))] = target,
-    clamped to 0 where even a sure solo visit is worth at most ``target``
-    and to 1 where a sure full collision still beats it. Requires a
-    policy that is non-constant on 1..players.
-    """
-    m = f.size
-    probs = np.zeros(m)
-    probs[f * floor_weight >= target] = 1.0
-    active = (f > target) & (f * floor_weight < target)
-    if not np.any(active):
-        return probs
-    fa = f[active]
-    lo = np.zeros(fa.size)
-    hi = np.ones(fa.size)
-    # [0, 1] halves uniformly, so the iteration count that reaches the
-    # tolerance is fixed up front.
-    steps = math.ceil(math.log2(1.0 / INNER_P_TOL))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        above = fa * response(mid) > target
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    probs[active] = 0.5 * (lo + hi)
-    return probs
-
-
 def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     """Symmetric equilibrium of the instance, found by nested bisection.
 
-    The outer loop bisects the common site value nu over
-    [value(1) * C(players), value(1)]; the inner loop solves each site's
-    probability against nu. The returned strategy is re-checked by
-    ``verify_ifd`` and must come back with residual <= 1e-8, otherwise a
-    ``SolverError`` carrying diagnostics is raised.
+    The outer loop bisects the common site value nu over [C(players), 1],
+    on the values over value(1), so that no result depends on their unit;
+    the inner loop solves each site's probability, non-increasing in nu,
+    between those found at the two ends of the outer bracket. The returned
+    strategy is re-checked by ``verify_ifd`` and must come back with
+    residual <= 1e-8 * value(1), otherwise a ``SolverError`` carrying
+    diagnostics is raised.
 
     A congestion policy that is constant on 1..players makes every site
     value independent of play; that degenerate case returns the point mass
@@ -218,44 +193,46 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     if policy.is_constant_on(players):
         return verify_ifd(instance, Strategy.point_mass(1, instance.sites))
 
-    f = profile.as_array()
+    top = profile.values[0]
+    f = profile.as_array() / top
     response = congestion_kernel(policy, players)
     floor_weight = policy.at(players)
-    lo = float(f[0] * floor_weight)
-    hi = float(f[0])
-    scale = max(1.0, abs(lo), abs(hi))
 
-    def excess(target: float) -> float:
-        return float(np.sum(_site_probs_for_value(f, response, floor_weight, target))) - 1.0
+    def site_probs(target: float, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        # Site x gets the p in [low, high] with f(x) * E[C(1 + B(p))] =
+        # target, clamped to 0 where even a sure solo visit is worth at most
+        # target and to 1 where a sure full collision still beats it.
+        probs = (f * floor_weight >= target).astype(float)
+        active = (f > target) & (f * floor_weight < target)
+        fa, lo_p, hi_p = f[active], low[active], high[active]
+        width = float(np.max(hi_p - lo_p, initial=0.0))
+        steps = math.ceil(math.log2(width / INNER_P_TOL)) if width > INNER_P_TOL else 0
+        for _ in range(steps):
+            mid = 0.5 * (lo_p + hi_p)
+            above = fa * response(mid) > target
+            lo_p = np.where(above, mid, lo_p)
+            hi_p = np.where(above, hi_p, mid)
+        probs[active] = 0.5 * (lo_p + hi_p)
+        return probs
 
-    # The total probability is non-increasing in the target value, >= 0 at
-    # the lower end and -1 at the upper end; bisection brackets the root.
-    if excess(lo) <= 0.0:
-        nu = lo
-    else:
-        iterations = 0
-        while hi - lo > OUTER_REL_TOL * scale and iterations < MAX_ITERATIONS:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if excess(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            iterations += 1
-        if iterations >= MAX_ITERATIONS:
-            raise SolverError(
-                "equilibrium bisection did not converge",
-                bracket=(lo, hi),
-                iterations=iterations,
-            )
-        nu = 0.5 * (lo + hi)
+    # The total probability is non-increasing in nu: at nu = C(players)
+    # site 1 is clamped to 1, so it is >= 1, and at nu = 1 it is 0.
+    lo, hi = floor_weight, 1.0
+    probs_lo, probs_hi = np.ones(f.size), np.zeros(f.size)
+    for _ in range(math.ceil(math.log2(1.0 / OUTER_REL_TOL))):
+        mid = 0.5 * (lo + hi)
+        probs = site_probs(mid, probs_hi, probs_lo)
+        if probs.sum() >= 1.0:
+            lo, probs_lo = mid, probs
+        else:
+            hi, probs_hi = mid, probs
+    nu = 0.5 * (lo + hi)
 
-    probs = _site_probs_for_value(f, response, floor_weight, nu)
+    probs = site_probs(nu, probs_hi, probs_lo)
     probs[probs < SUPPORT_EPS] = 0.0
     total = probs.sum()
     if not 0.5 < total < 2.0:
-        raise SolverError("equilibrium probabilities failed to normalize", total=float(total), value=nu)
+        raise SolverError("equilibrium probabilities failed to normalize", total=float(total), value=nu * top)
     probs /= total
     report = verify_ifd(instance, Strategy.from_array(probs))
     if not report.passed:
@@ -263,7 +240,7 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
             "equilibrium residual exceeds tolerance",
             residual=report.residual,
             common_value=report.common_value,
-            value=nu,
+            value=nu * top,
         )
     return report
 

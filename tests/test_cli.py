@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersal import Strategy
+from dispersal import SolverError, Strategy, cli
 from dispersal.cli import main, round_distribution
 
 
@@ -121,6 +121,31 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", "--instance", path, "--mode", "sigma-star"])
         assert code == 0
         Strategy(tuple(json.loads(out)["strategy"]))
+
+    def test_many_players(self, tmp_path, capsys):
+        # The optimum needs no congestion kernel, and the exclusive one has
+        # a single non-zero weight; sharing's binomial weights overflow.
+        values = [1.0, 0.5, 0.25]
+        path = write_instance(tmp_path, values=values, players=1100)
+        code, out, _ = run(capsys, ["solve", "--instance", path, "--mode", "sigma-star"])
+        assert code == 0
+        assert json.loads(out)["support_size"] == 3
+        path = write_instance(tmp_path, "sharing.json", values=values, players=1100, policy={"type": "sharing"})
+        code, _, err = run(capsys, ["solve", "--instance", path, "--mode", "ifd"])
+        assert code == 2
+        assert "players:" in err
+
+    def test_solver_error_diagnostics_are_json(self, tmp_path, capsys, monkeypatch):
+        diagnostics = {"residual": 2.5e-6, "common_value": 0.25, "value": 0.25}
+
+        def failing_solve(instance):
+            raise SolverError("equilibrium residual exceeds tolerance", **diagnostics)
+
+        monkeypatch.setattr(cli, "solve_ifd", failing_solve)
+        code, _, err = run(capsys, ["solve", "--instance", write_instance(tmp_path), "--mode", "ifd"])
+        assert code == 3
+        assert err.startswith("error: equilibrium residual exceeds tolerance ")
+        assert json.loads(err[err.index("{") :]) == diagnostics
 
 
 class TestSpoa:

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 from conftest import log_uniform_profile, random_nonexclusive_table
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dispersal import (
     CongestionPolicy,
@@ -19,6 +21,7 @@ from dispersal import (
     verify_ifd,
     welfare_optimum,
 )
+from dispersal import solvers
 from dispersal.ess import project_to_simplex
 from dispersal.game import congestion_kernel
 from dispersal.solvers import WELFARE_GRID_STEP, WELFARE_REFINE_STEP, _allocate_units
@@ -110,6 +113,11 @@ class TestVerifyIfd:
         assert not report.support_is_prefix
         assert not report.passed
 
+    def test_tolerance_is_relative_to_top_value(self):
+        # At values of order 1e-12 an absolute 1e-8 would pass any strategy.
+        instance = exclusive(ValueProfile((1e-12, 0.9e-12, 0.5e-12)), 3)
+        assert not verify_ifd(instance, Strategy((0.5, 0.3, 0.2))).passed
+
 
 class TestSolveIfd:
     def test_matches_closed_form_under_exclusive(self):
@@ -152,6 +160,33 @@ class TestSolveIfd:
         second = solve_ifd(instance)
         assert first.strategy.probs == second.strategy.probs
 
+    def test_kernel_evaluations_per_solve(self, monkeypatch):
+        # The probabilities found at the ends of the outer bracket bound
+        # each inner search, which about halves the 45 x 40 evaluations a
+        # solve over [0, 1] brackets takes.
+        evaluations = [0]
+
+        def counting_kernel(policy, players):
+            response = congestion_kernel(policy, players)
+
+            def counted(p):
+                evaluations[0] += 1
+                return response(p)
+
+            return counted
+
+        monkeypatch.setattr(solvers, "congestion_kernel", counting_kernel)
+        rng = np.random.default_rng(57)
+        per_solve = []
+        for i in range(40):
+            sites = int(rng.integers(2, 21))
+            players = int(rng.integers(2, 9))
+            policies = (CongestionPolicy.exclusive(), CongestionPolicy.sharing(), random_nonexclusive_table(rng, players))
+            evaluations[0] = 0
+            solve_ifd(GameInstance(log_uniform_profile(rng, sites), players, policies[i % 3]))
+            per_solve.append(evaluations[0])
+        assert np.median(per_solve) <= 1000
+
     def test_residuals_stay_within_solver_tolerance(self):
         rng = np.random.default_rng(55)
         for _ in range(15):
@@ -160,6 +195,49 @@ class TestSolveIfd:
             policy = random_nonexclusive_table(rng, players)
             report = solve_ifd(GameInstance(log_uniform_profile(rng, sites), players, policy))
             assert report.residual <= 1e-8
+
+
+@st.composite
+def rescaled_instances(draw):
+    """Values in [0.05, 1], M <= 8, k <= 6, one of three policy kinds, with a
+    power of ten in [-12, 12] to scale them by and an order to list them in."""
+    sites = draw(st.integers(1, 8))
+    players = draw(st.integers(2, 6))
+    values = tuple(draw(st.lists(st.floats(0.05, 1.0), min_size=sites, max_size=sites)))
+    kind = draw(st.sampled_from(["exclusive", "sharing", "table"]))
+    if kind == "table":
+        table = [1.0]
+        for drop in draw(st.lists(st.floats(0.0, 0.5), min_size=players - 1, max_size=players - 1)):
+            table.append(table[-1] - drop)
+        policy = CongestionPolicy.from_table(table)
+    else:
+        policy = CongestionPolicy(kind)
+    return values, players, policy, draw(st.integers(-12, 12)), draw(st.permutations(range(sites)))
+
+
+class TestScaleInvariance:
+    @settings(max_examples=50)
+    @given(case=rescaled_instances())
+    @example(case=((1.0, 0.9, 0.5), 3, CongestionPolicy.exclusive(), 6, (0, 1, 2)))
+    @example(case=((1.0, 0.9, 0.5), 3, CongestionPolicy.sharing(), 6, (0, 1, 2)))
+    def test_results_depend_only_on_relative_values(self, case):
+        values, players, policy, power, order = case
+        base = GameInstance(ValueProfile(values), players, policy)
+        scaled_values = tuple(values[i] * 10.0**power for i in order)
+        scaled = GameInstance(ValueProfile(scaled_values), players, policy)
+
+        equilibrium = solve_ifd(base).strategy.as_array()
+        assert np.max(np.abs(solve_ifd(scaled).strategy.as_array() - equilibrium)) <= 1e-9
+        optimum = coverage_optimum(base.profile, players).strategy.as_array()
+        scaled_optimum = coverage_optimum(scaled.profile, players).strategy.as_array()
+        assert np.max(np.abs(scaled_optimum - optimum)) <= 1e-12
+        spoa = symmetric_price_of_anarchy(base)
+        assert symmetric_price_of_anarchy(scaled) == pytest.approx(spoa, rel=1e-9)
+        # The paper's main result: SPoA >= 1, with equality under the
+        # exclusive policy.
+        assert spoa >= 1.0 - 1e-12
+        if policy.is_exclusive_on(players):
+            assert spoa == pytest.approx(1.0, abs=1e-8)
 
 
 class TestWelfareOptimum:
