@@ -54,10 +54,11 @@ def _numbers(values, name: str) -> tuple[float, ...]:
     for i, v in enumerate(entries):
         if type(v) not in _PLAIN_REALS and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
             raise ValidationError(f"{name}[{i}]: must be a number")
+    # From lists: a tuple grown from an iterator raises the allocator's high-water mark.
     try:
-        floats = tuple(map(float, entries))
+        floats = tuple(list(map(float, entries)))
     except OverflowError:
-        floats = tuple(float(v) if abs(v) <= sys.float_info.max else math.inf for v in entries)
+        floats = tuple([float(v) if abs(v) <= sys.float_info.max else math.inf for v in entries])
     if not all(map(math.isfinite, floats)):
         i = next(i for i, v in enumerate(floats) if not math.isfinite(v))
         raise ValidationError(f"{name}[{i}]: must be finite")
@@ -208,7 +209,7 @@ class Strategy:
 
     def support(self, eps: float = SUPPORT_EPS) -> tuple[int, ...]:
         """1-based indices of sites played with probability above ``eps``."""
-        return tuple(i + 1 for i, p in enumerate(self.probs) if p > eps)
+        return tuple([i + 1 for i, p in enumerate(self.probs) if p > eps])
 
 
 @dataclass(frozen=True)
@@ -309,27 +310,30 @@ def collision_distribution(opponent_probs) -> CollisionDistribution:
     return CollisionDistribution(tuple(_collision_pmfs(probs.reshape(-1, 1))[0]))
 
 
-def congestion_kernel(policy: CongestionPolicy, players: int):
-    """Evaluator of E[C(1 + B)] with B ~ Binomial(players - 1, p).
+def _bernstein(coeffs):
+    """Evaluator of E[coeffs[B]], B ~ Binomial(len(coeffs) - 1, p), for arrays of p in [0, 1].
 
-    The binomial coefficients are folded into the weights once, so the
-    returned function only evaluates the polynomial; it maps an array of
-    probabilities to an array of the same shape. Zero weights skip their
-    coefficient, so the exclusive policy takes any number of players; other
-    weights raise ``ValidationError`` from about 1030 players on.
+    The pmf is taken in log space, from log C(n, j) computed once with
+    ``lgamma``, so no coefficient overflows at any n; terms below exp(-745)
+    underflow to 0, and zero coefficients are skipped.
     """
-    counts = np.arange(players)
-    try:
-        folded = np.array([math.comb(players - 1, j) * c if c else 0.0 for j, c in enumerate(policy.weights(players))])
-    except OverflowError:
-        raise ValidationError(f"players: {players} is too many for the binomial weights of the {policy.kind} policy") from None
-    tail = players - 1 - counts
+    coeffs = np.asarray(coeffs, dtype=float)
+    n, j = coeffs.size - 1, np.flatnonzero(coeffs)
+    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j])
+    # log 0 is floored to a finite value, so 0 * log 0 is 0 and n * log 0 still fits a float.
+    floor, coeffs = -sys.float_info.max / (n + 2), coeffs[j]
 
-    def response(p: np.ndarray) -> np.ndarray:
-        pm = p[..., None]
-        return (pm**counts * (1.0 - pm) ** tail) @ folded
+    def evaluate(p: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            log_p, log_q = np.maximum(np.log(p), floor)[..., None], np.maximum(np.log1p(-p), floor)[..., None]
+        return np.exp(log_comb + j * log_p + (n - j) * log_q) @ coeffs
 
-    return response
+    return evaluate
+
+
+def congestion_kernel(policy: CongestionPolicy, players: int):
+    """Evaluator of R(p) = E[C(1 + B)] with B ~ Binomial(players - 1, p), for any number of players."""
+    return _bernstein(policy.weights(players))
 
 
 def congestion_response(policy: CongestionPolicy, players: int, probs) -> np.ndarray:

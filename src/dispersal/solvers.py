@@ -4,15 +4,14 @@ Two independent routes to the symmetric equilibrium are kept side by side:
 ``coverage_optimum`` evaluates the closed-form Pareto-shaped strategy that
 is simultaneously the equilibrium of the exclusive policy and the unique
 coverage maximizer, while ``solve_ifd`` finds the equilibrium of an
-arbitrary non-increasing congestion policy by nested bisection on the
-common site value. ``coverage_grid_oracle`` is a brute-force check on the
+arbitrary non-increasing congestion policy by bracketed Newton steps on
+the common site value. ``coverage_grid_oracle`` is a brute-force check on the
 optimum over a discrete simplex grid, and ``symmetric_price_of_anarchy``
 compares equilibrium coverage against the optimum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +22,18 @@ from .game import (
     Strategy,
     ValueProfile,
     _check,
+    _bernstein,
     congestion_kernel,
     coverage,
     site_values,
 )
 
-# Bisection settings. The inner loop resolves per-site probabilities to
-# 1e-12; the outer loop halves the common value's bracket, over values
-# scaled to value(1) = 1, to about 1e-13, which leaves enough headroom for
-# the 1e-8 residual contract on the returned equilibrium.
+# Newton settings: steps in a site's probability below 1e-12 end the inner
+# loop; a sum within 1e-14 of one, or a bracket on the common value (over
+# value(1) = 1) within 1e-15 of it, which can be 1e-46, ends the outer one.
 INNER_P_TOL = 1e-12
-OUTER_REL_TOL = 1e-13
+SUM_TOL = 1e-14
+OUTER_REL_TOL = 1e-15
 
 IFD_RESIDUAL_TOL = 1e-8
 
@@ -167,21 +167,22 @@ def verify_ifd(instance: GameInstance, strategy: Strategy, tolerance: float = IF
         residual=max(residual_equal, residual_outside),
         boundary_flag=boundary,
         tolerance=tolerance,
-        site_values=tuple(float(v) for v in values),
+        site_values=tuple(values.tolist()),
         support_is_prefix=support_is_prefix,
     )
 
 
 def solve_ifd(instance: GameInstance) -> EquilibriumReport:
-    """Symmetric equilibrium of the instance, found by nested bisection.
+    """Symmetric equilibrium of the instance, found by bracketed Newton steps.
 
-    The outer loop bisects the common site value nu over [C(players), 1],
-    on the values over value(1), so that no result depends on their unit;
-    the inner loop solves each site's probability, non-increasing in nu,
-    between those found at the two ends of the outer bracket. The returned
-    strategy is re-checked by ``verify_ifd`` and must come back with
-    residual <= 1e-8 * value(1), otherwise a ``SolverError`` carrying
-    diagnostics is raised.
+    The outer loop seeks the common site value nu in [C(players), 1], on the
+    values over value(1) so that no result depends on their unit, at which
+    the site probabilities sum to one; the inner loop solves each site's
+    probability from a tangent prediction, between those found at the two
+    ends of the outer bracket. A Newton step that would leave its bracket
+    is replaced by a bisection step. The strategy is re-checked by
+    ``verify_ifd`` and must come back with residual <= 1e-8 * value(1),
+    otherwise a ``SolverError`` carrying diagnostics is raised.
 
     A congestion policy that is constant on 1..players makes every site
     value independent of play; that degenerate case returns the point mass
@@ -195,40 +196,59 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
 
     top = profile.values[0]
     f = profile.as_array() / top
-    response = congestion_kernel(policy, players)
-    floor_weight = policy.at(players)
+    weights = policy.weights(players)
+    response, slope = _bernstein(weights), _bernstein((players - 1) * np.diff(weights))
+    floor_weight = float(weights[-1])
 
-    def site_probs(target: float, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        # Site x gets the p in [low, high] with f(x) * E[C(1 + B(p))] =
-        # target, clamped to 0 where even a sure solo visit is worth at most
-        # target and to 1 where a sure full collision still beats it.
-        probs = (f * floor_weight >= target).astype(float)
+    def site_probs(target: float, guess: np.ndarray, low: np.ndarray, high: np.ndarray):
+        # Site x gets the p in [low, high] with f(x) R(p) = target, clamped to
+        # 0 where even a sure solo visit is worth at most target and to 1
+        # where a sure full collision still beats it; rate is dp/dnu there.
+        probs, rate = (f * floor_weight >= target).astype(float), np.zeros(f.size)
         active = (f > target) & (f * floor_weight < target)
         fa, lo_p, hi_p = f[active], low[active], high[active]
-        width = float(np.max(hi_p - lo_p, initial=0.0))
-        steps = math.ceil(math.log2(width / INNER_P_TOL)) if width > INNER_P_TOL else 0
-        for _ in range(steps):
-            mid = 0.5 * (lo_p + hi_p)
-            above = fa * response(mid) > target
-            lo_p = np.where(above, mid, lo_p)
-            hi_p = np.where(above, hi_p, mid)
-        probs[active] = 0.5 * (lo_p + hi_p)
-        return probs
+        p, step = np.clip(guess[active], lo_p, hi_p), 1.0 if fa.size else 0.0
+        gradient = newton_slope = np.full(fa.size, np.nan)
+        while not step <= INNER_P_TOL:  # a NaN guess makes a NaN step, not a stop
+            excess = fa * response(p) - target
+            lo_p, hi_p = np.where(excess >= 0.0, p, lo_p), np.where(excess <= 0.0, p, hi_p)
+            # Once the last Newton step's slope predicts a step within the
+            # tolerance, that step is taken without evaluating R' again.
+            if np.max(np.abs(excess / newton_slope)) <= INNER_P_TOL:
+                p = p - excess / newton_slope
+                break
+            gradient = fa * slope(p)
+            newton = p - excess / gradient
+            # A Newton point on a bracket end could cycle between the ends.
+            inside = (lo_p < newton) & (newton < hi_p) | (newton == p)
+            newton_slope = np.where(inside, gradient, np.nan)
+            new = np.where(inside, newton, 0.5 * (lo_p + hi_p))
+            step, p = float(np.max(np.abs(new - p))), new
+        probs[active], rate[active] = p, 1.0 / gradient
+        return probs, rate
 
-    # The total probability is non-increasing in nu: at nu = C(players)
-    # site 1 is clamped to 1, so it is >= 1, and at nu = 1 it is 0.
-    lo, hi = floor_weight, 1.0
+    lo, hi, nu, guess = floor_weight, 1.0, 0.5 * (floor_weight + 1.0), np.zeros(f.size)
     probs_lo, probs_hi = np.ones(f.size), np.zeros(f.size)
-    for _ in range(math.ceil(math.log2(1.0 / OUTER_REL_TOL))):
-        mid = 0.5 * (lo + hi)
-        probs = site_probs(mid, probs_hi, probs_lo)
-        if probs.sum() >= 1.0:
-            lo, probs_lo = mid, probs
-        else:
-            hi, probs_hi = mid, probs
-    nu = 0.5 * (lo + hi)
+    step = before = hi - lo
+    # R' < 0 inside (0, 1) but can underflow to 0; the inf or NaN a Newton
+    # step then makes fails its bracket test, which bisects instead.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            probs, rate = site_probs(nu, guess, probs_hi, probs_lo)
+            excess = probs.sum() - 1.0
+            if excess >= 0.0:
+                lo, probs_lo = nu, probs
+            else:
+                hi, probs_hi = nu, probs
+            if abs(excess) <= SUM_TOL or hi - lo <= OUTER_REL_TOL * abs(hi):
+                break
+            # A Newton step must also halve the step before last, so that it
+            # cannot cycle between two points inside the bracket.
+            newton = nu - excess / rate.sum()
+            ok = lo < newton < hi and abs(newton - nu) < 0.5 * abs(before)
+            before, step = step, (newton if ok else 0.5 * (lo + hi)) - nu
+            nu, guess = nu + step, probs + step * rate
 
-    probs = site_probs(nu, probs_hi, probs_lo)
     probs[probs < SUPPORT_EPS] = 0.0
     total = probs.sum()
     if not 0.5 < total < 2.0:
@@ -263,9 +283,11 @@ def _allocate_units(gain: np.ndarray) -> np.ndarray:
     m, width = gain.shape
     best = gain[0]
     picks = np.zeros((m, width), dtype=np.int64)
+    # Budgets above the sum of the largest finite counts so far are unreachable.
+    reach = np.minimum(np.cumsum(np.where(np.isfinite(gain), np.arange(width), 0).max(axis=1)), width - 1)
     for s in range(1, m - 1):
-        new_best = np.empty(width)
-        for t in range(width):
+        new_best = np.full(width, -np.inf)
+        for t in range(reach[s] + 1):
             cand = gain[s, : t + 1] + best[t::-1]
             c = int(cand.argmax())
             picks[s, t] = c

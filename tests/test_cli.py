@@ -123,17 +123,28 @@ class TestSolve:
         Strategy(tuple(json.loads(out)["strategy"]))
 
     def test_many_players(self, tmp_path, capsys):
-        # The optimum needs no congestion kernel, and the exclusive one has
-        # a single non-zero weight; sharing's binomial weights overflow.
+        # The log-space kernel forms no binomial coefficient, so no policy
+        # has a limit on the number of players.
         values = [1.0, 0.5, 0.25]
         path = write_instance(tmp_path, values=values, players=1100)
         code, out, _ = run(capsys, ["solve", "--instance", path, "--mode", "sigma-star"])
         assert code == 0
         assert json.loads(out)["support_size"] == 3
         path = write_instance(tmp_path, "sharing.json", values=values, players=1100, policy={"type": "sharing"})
-        code, _, err = run(capsys, ["solve", "--instance", path, "--mode", "ifd"])
-        assert code == 2
-        assert "players:" in err
+        code, out, _ = run(capsys, ["solve", "--instance", path, "--mode", "ifd"])
+        assert code == 0
+        assert json.loads(out)["residual"] <= 1e-8
+
+    def test_table_weights_beyond_the_binomial_range_end_cleanly(self, tmp_path, capsys):
+        # Each weight times its binomial coefficient would pass the float
+        # range; the solve must end in an answer or exit 3, never in NaN.
+        table = {"type": "table", "table": [1.0] + [-1e200] * 599}
+        path = write_instance(tmp_path, values=[1.0, 0.5], players=600, policy=table)
+        for argv in (["solve", "--instance", path, "--mode", "ifd"], ["spoa", "--instance", path]):
+            code, out, err = run(capsys, argv)
+            assert code in (0, 3)
+            assert "NaN" not in out + err
+            assert "Traceback" not in err
 
     def test_solver_error_diagnostics_are_json(self, tmp_path, capsys, monkeypatch):
         diagnostics = {"residual": 2.5e-6, "common_value": 0.25, "value": 0.25}
@@ -413,9 +424,8 @@ def instance_dir(tmp_path_factory):
 class TestValidationSurface:
     """Malformed instance files, one flaw each, end in exit 2 naming the field.
 
-    This covers input validation only. Valid inputs that fail later, such
-    as the overflow of the congestion kernel's binomial coefficients for
-    k above about 1030, are solver defects and out of its scope.
+    This covers input validation only. A valid input that a solver fails on
+    later ends in exit 3, and is out of its scope.
     """
 
     @settings(max_examples=400)

@@ -13,6 +13,7 @@ from dispersal import (
     ValidationError,
     ValueProfile,
     collision_distribution,
+    congestion_response,
     coverage,
     expected_payoff_profile,
     miss_weight,
@@ -20,6 +21,7 @@ from dispersal import (
     site_value,
     site_values,
 )
+from dispersal.game import _bernstein
 
 TWO_SITES = ValueProfile((1.0, 0.5))
 
@@ -189,6 +191,23 @@ class TestSiteValue:
                 values.append(site_value(instance, Strategy((p, rest, rest)), 1))
             diffs = np.diff(values)
             assert np.all(diffs < 0.0)
+
+    def test_kernel_matches_power_form_and_its_bernstein_derivative(self):
+        # R(p) = sum_j C(k-1, j) p^j (1-p)^(k-1-j) C(j+1), and R'(p) is k-1
+        # times the Bernstein form of the differences of C (degree k-2).
+        ps = np.array([0.0, 1e-3, 0.2, 0.5, 0.9, 1.0])
+        inner, h = ps[1:-1], 1e-6
+        for players in (2, 3, 8, 40):
+            for policy in (
+                CongestionPolicy.exclusive(),
+                CongestionPolicy.sharing(),
+                CongestionPolicy.from_table(np.linspace(1.0, -0.5, players)),
+            ):
+                w = policy.weights(players)
+                power = sum(math.comb(players - 1, j) * ps**j * (1 - ps) ** (players - 1 - j) * w[j] for j in range(players))
+                assert congestion_response(policy, players, ps) == pytest.approx(power, rel=1e-12, abs=1e-15)
+                central = (congestion_response(policy, players, inner + h) - congestion_response(policy, players, inner - h)) / (2 * h)
+                assert _bernstein((players - 1) * np.diff(w))(inner) == pytest.approx(central, rel=1e-6, abs=1e-9)
 
     def test_non_increasing_for_flat_then_dropping_policy(self):
         instance = GameInstance(ValueProfile((1.0, 0.8)), 3, CongestionPolicy.from_table((1.0, 1.0, 0.0)))

@@ -1,14 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from conftest import log_uniform_profile, random_nonexclusive_table
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dispersal import (
     CongestionPolicy,
     GameInstance,
+    SolverError,
     Strategy,
     ValidationError,
     ValueProfile,
@@ -23,7 +25,7 @@ from dispersal import (
 )
 from dispersal import solvers
 from dispersal.ess import project_to_simplex
-from dispersal.game import congestion_kernel
+from dispersal.game import SUPPORT_EPS, congestion_kernel
 from dispersal.solvers import WELFARE_GRID_STEP, WELFARE_REFINE_STEP, _allocate_units
 
 TWO_SITES = ValueProfile((1.0, 0.5))
@@ -119,6 +121,25 @@ class TestVerifyIfd:
         assert not verify_ifd(instance, Strategy((0.5, 0.3, 0.2))).passed
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts the calls of every evaluator ``solvers._bernstein`` returns, R and R' alike."""
+    count = [0]
+    bernstein = solvers._bernstein
+
+    def counting_bernstein(coeffs):
+        evaluate = bernstein(coeffs)
+
+        def counted(p):
+            count[0] += 1
+            return evaluate(p)
+
+        return counted
+
+    monkeypatch.setattr(solvers, "_bernstein", counting_bernstein)
+    return count
+
+
 class TestSolveIfd:
     def test_matches_closed_form_under_exclusive(self):
         rng = np.random.default_rng(33)
@@ -160,22 +181,9 @@ class TestSolveIfd:
         second = solve_ifd(instance)
         assert first.strategy.probs == second.strategy.probs
 
-    def test_kernel_evaluations_per_solve(self, monkeypatch):
-        # The probabilities found at the ends of the outer bracket bound
-        # each inner search, which about halves the 45 x 40 evaluations a
-        # solve over [0, 1] brackets takes.
-        evaluations = [0]
-
-        def counting_kernel(policy, players):
-            response = congestion_kernel(policy, players)
-
-            def counted(p):
-                evaluations[0] += 1
-                return response(p)
-
-            return counted
-
-        monkeypatch.setattr(solvers, "congestion_kernel", counting_kernel)
+    def test_kernel_evaluations_per_solve(self, evaluations):
+        # Every evaluation of R or R' goes through the one Bernstein
+        # evaluator; the nested bisection took a median of about 830.
         rng = np.random.default_rng(57)
         per_solve = []
         for i in range(40):
@@ -185,7 +193,7 @@ class TestSolveIfd:
             evaluations[0] = 0
             solve_ifd(GameInstance(log_uniform_profile(rng, sites), players, policies[i % 3]))
             per_solve.append(evaluations[0])
-        assert np.median(per_solve) <= 1000
+        assert np.median(per_solve) <= 60
 
     def test_residuals_stay_within_solver_tolerance(self):
         rng = np.random.default_rng(55)
@@ -196,13 +204,90 @@ class TestSolveIfd:
             report = solve_ifd(GameInstance(log_uniform_profile(rng, sites), players, policy))
             assert report.residual <= 1e-8
 
+    def test_outer_newton_does_not_cycle(self, evaluations):
+        # Without the step-halving test, outer Newton steps on this
+        # instance alternate between two points inside the bracket and
+        # take 8335 kernel evaluations to close it; with it, 57.
+        table = CongestionPolicy.from_table((1.0, 0.4, 0.2, 0.1, -2.4, -3.0, -3.7))
+        instance = GameInstance(ValueProfile((0.2, 0.3, 0.4, 0.2, 0.4, 0.3)), 7, table)
+        report = solve_ifd(instance)
+        assert evaluations[0] <= 200
+        assert np.max(np.abs(report.strategy.as_array() - nested_bisection_ifd(instance))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "sites, players, kind",
+        [(200, 1000, "sharing"), (20, 2000, "sharing"), (20, 2000, "exclusive")],
+    )
+    def test_many_players(self, sites, players, kind):
+        profile = log_uniform_profile(np.random.default_rng(sites + players), sites)
+        report = solve_ifd(GameInstance(profile, players, CongestionPolicy(kind)))
+        assert report.passed
+        assert report.residual <= 1e-8 * profile.values[0]
+        if kind == "exclusive":
+            # The common value here is about 1e-46, far below any absolute
+            # resolution in it.
+            optimum = coverage_optimum(profile, players).strategy.as_array()
+            assert np.max(np.abs(report.strategy.as_array() - optimum)) <= 1e-12
+
+    def test_table_weights_beyond_the_binomial_range(self):
+        # Each weight times its binomial coefficient would pass the float
+        # range. The log-space kernel never forms that product, so the solve
+        # runs without a floating-point warning and ends in an equilibrium
+        # or a SolverError, never in NaN.
+        policy = CongestionPolicy.from_table((1.0,) + (-1e200,) * 599)
+        assert np.all(np.isfinite(congestion_kernel(policy, 600)(np.linspace(0.0, 1.0, 11))))
+        try:
+            report = solve_ifd(GameInstance(TWO_SITES, 600, policy))
+        except SolverError as error:
+            assert all(math.isfinite(v) for v in error.diagnostics.values())
+        else:
+            assert report.passed
+
+
+def nested_bisection_ifd(instance):
+    """The nested bisection ``solve_ifd`` used before its Newton steps, as a reference.
+
+    It bisects the common value over [C(k), 1] in 44 steps, on the values
+    over value(1), and each site's probability to 1e-12 between those
+    found at the two ends of the outer bracket.
+    """
+    f = instance.profile.as_array() / instance.profile.values[0]
+    response = congestion_kernel(instance.policy, instance.players)
+    floor_weight = instance.policy.at(instance.players)
+
+    def site_probs(target, low, high):
+        probs = (f * floor_weight >= target).astype(float)
+        active = (f > target) & (f * floor_weight < target)
+        fa, lo_p, hi_p = f[active], low[active], high[active]
+        width = float(np.max(hi_p - lo_p, initial=0.0))
+        for _ in range(math.ceil(math.log2(width / 1e-12)) if width > 1e-12 else 0):
+            mid = 0.5 * (lo_p + hi_p)
+            above = fa * response(mid) > target
+            lo_p = np.where(above, mid, lo_p)
+            hi_p = np.where(above, hi_p, mid)
+        probs[active] = 0.5 * (lo_p + hi_p)
+        return probs
+
+    lo, hi = floor_weight, 1.0
+    probs_lo, probs_hi = np.ones(f.size), np.zeros(f.size)
+    for _ in range(44):
+        mid = 0.5 * (lo + hi)
+        probs = site_probs(mid, probs_hi, probs_lo)
+        if probs.sum() >= 1.0:
+            lo, probs_lo = mid, probs
+        else:
+            hi, probs_hi = mid, probs
+    probs = site_probs(0.5 * (lo + hi), probs_hi, probs_lo)
+    probs[probs < SUPPORT_EPS] = 0.0
+    return probs / probs.sum()
+
 
 @st.composite
-def rescaled_instances(draw):
-    """Values in [0.05, 1], M <= 8, k <= 6, one of three policy kinds, with a
-    power of ten in [-12, 12] to scale them by and an order to list them in."""
-    sites = draw(st.integers(1, 8))
-    players = draw(st.integers(2, 6))
+def instance_parts(draw, max_sites, max_players):
+    """Values in [0.05, 1], M <= max_sites, k <= max_players, and exclusive,
+    sharing or a non-increasing table, which may turn negative."""
+    sites = draw(st.integers(1, max_sites))
+    players = draw(st.integers(2, max_players))
     values = tuple(draw(st.lists(st.floats(0.05, 1.0), min_size=sites, max_size=sites)))
     kind = draw(st.sampled_from(["exclusive", "sharing", "table"]))
     if kind == "table":
@@ -212,7 +297,31 @@ def rescaled_instances(draw):
         policy = CongestionPolicy.from_table(table)
     else:
         policy = CongestionPolicy(kind)
-    return values, players, policy, draw(st.integers(-12, 12)), draw(st.permutations(range(sites)))
+    return values, players, policy
+
+
+@st.composite
+def small_instances(draw):
+    """M <= 20, k <= 8, any policy kind but a constant table."""
+    values, players, policy = draw(instance_parts(20, 8))
+    assume(not policy.is_constant_on(players))
+    return GameInstance(ValueProfile(values), players, policy)
+
+
+class TestNewtonAgreesWithBisection:
+    @settings(max_examples=100)
+    @given(instance=small_instances())
+    def test_same_equilibrium(self, instance):
+        expected = nested_bisection_ifd(instance)
+        assert np.max(np.abs(solve_ifd(instance).strategy.as_array() - expected)) <= 1e-9
+
+
+@st.composite
+def rescaled_instances(draw):
+    """M <= 8, k <= 6, any policy kind, with a power of ten in [-12, 12] to
+    scale the values by and an order to list them in."""
+    values, players, policy = draw(instance_parts(8, 6))
+    return values, players, policy, draw(st.integers(-12, 12)), draw(st.permutations(range(len(values))))
 
 
 class TestScaleInvariance:
