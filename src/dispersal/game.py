@@ -161,10 +161,6 @@ class CongestionPolicy:
         w = self.weights(players)
         return bool(w[0] == 1.0 and np.all(w[1:] == 0.0))
 
-    def is_constant_on(self, players: int) -> bool:
-        """True when congestion is a no-op up to ``players`` co-visitors (C == 1)."""
-        return bool(np.all(self.weights(players) == 1.0))
-
 
 @dataclass(frozen=True)
 class Strategy:

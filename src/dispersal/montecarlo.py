@@ -7,6 +7,11 @@ so a report is a pure function of (seed, config) bit for bit, and one
 player's draws never depend on how many other players exist. Draw r of a
 stream belongs to round r, which also makes prefixes of longer runs
 identical.
+
+One engine, ``_chunks``, plays ``_CHUNK_ENTRIES // max(players, sites)``
+rounds per chunk and carries the streams on: memory does not grow with the
+rounds, nor does a pick depend on the chunk size. ``simulate`` pools
+(site, occupancy) counts and merges chunk moments (Chan et al. 1979).
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import numpy as np
 from .game import GameInstance, Strategy, _check
 
 MAX_SEED = 2**64
+# Site-rounds and player-rounds per chunk; beyond that many players, 16 rounds amortise the draw calls.
+_CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -31,18 +38,12 @@ class SimConfig:
     strategies: tuple[Strategy, ...]
 
     def __post_init__(self) -> None:
-        _check(isinstance(self.rounds, int) and self.rounds >= 1, f"rounds: must be >= 1, got {self.rounds}")
-        _check(isinstance(self.seed, int) and 0 <= self.seed < MAX_SEED, "seed: must be a 64-bit unsigned integer")
-        strategies = tuple(self.strategies)
-        _check(
-            len(strategies) == self.instance.players,
-            f"strategies: expected {self.instance.players} entries, got {len(strategies)}",
-        )
+        _check(type(self.rounds) is int and self.rounds >= 1, f"rounds: must be an integer >= 1, got {self.rounds}")
+        _check(type(self.seed) is int and 0 <= self.seed < MAX_SEED, "seed: must be a 64-bit unsigned integer")
+        strategies, k = tuple(self.strategies), self.instance.players
+        _check(len(strategies) == k, f"strategies: expected {k} entries, got {len(strategies)}")
         for i, s in enumerate(strategies):
-            _check(
-                s.size == self.instance.sites,
-                f"strategies[{i}]: size must match the number of sites",
-            )
+            _check(s.size == self.instance.sites, f"strategies[{i}]: size must match the number of sites")
         object.__setattr__(self, "strategies", strategies)
 
     @classmethod
@@ -55,7 +56,8 @@ class SimReport:
     """Aggregates of a simulation run; identical seeds reproduce it bit-exactly.
 
     ``degenerate`` marks single-round runs, whose standard errors are
-    reported as zero for lack of a spread estimate.
+    reported as zero for lack of a spread estimate. ``occupancy_histogram``
+    [x][l-1] counts the player-rounds at site x+1 with l players there.
     """
 
     mean_payoff_per_player: tuple[float, ...]
@@ -65,57 +67,67 @@ class SimReport:
     rounds: int
     seed: int
     degenerate: bool
+    occupancy_histogram: tuple[tuple[int, ...], ...]
 
 
-def _player_sites(strategy: Strategy, rounds: int, seed: int, player: int) -> np.ndarray:
-    """0-based site picks of one player for every round.
+def _sampler(probs: np.ndarray):
+    """Inverse-CDF site picker, bit-identical to ``searchsorted(cdf, u, side="right")``.
 
-    Inverse-CDF sampling over the strategy's cumulative vector; sites are
-    scanned left to right, so zero-probability sites can never be picked.
+    A power-of-two table of buckets makes ``u * size`` exact. A draw takes
+    its bucket's first site, plus one if it is at or above the bucket's one
+    cdf boundary; buckets with more (zero-probability sites) binary-search.
     """
-    stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(player,))))
-    u = stream.random(rounds)
-    cdf = np.cumsum(strategy.as_array())
+    cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    return np.searchsorted(cdf, u, side="right").astype(np.int32)
+    size = 1 << (4 * cdf.size).bit_length()
+    edges = np.arange(size + 1) / size
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    inside = np.searchsorted(cdf, edges[1:], side="left") - first
+    boundary, crowded = np.where(inside == 1, cdf[first], np.inf), inside > 1
+
+    def sample(u: np.ndarray) -> np.ndarray:
+        bucket = (u * size).astype(np.intp)
+        sites = first[bucket] + (u >= boundary[bucket])
+        if crowded.any():
+            slow = crowded[bucket]
+            sites[slow] = np.searchsorted(cdf, u[slow], side="right")
+        return sites
+
+    return sample
 
 
-def _occupancy(config: SimConfig, players: range) -> tuple[np.ndarray, np.ndarray]:
-    """Picks of the given players (n, R) and every site's head count of them (M, R), per round."""
-    m, rounds = config.instance.sites, config.rounds
-    sites = np.stack([_player_sites(config.strategies[i], rounds, config.seed, i) for i in players])
-    occupancy = np.zeros((m, rounds), dtype=np.min_scalar_type(len(players)))
-    for x in range(m):
-        occupancy[x] = (sites == x).sum(axis=0)
-    return sites, occupancy
+def _chunks(config: SimConfig, players: range):
+    """Play every round for the n given players, one chunk of rounds at a time.
 
-
-def _play_rounds(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate all rounds; returns (sites (k, R), payoffs (k, R), coverage (R,))."""
-    instance = config.instance
-    k, rounds = instance.players, config.rounds
-    f = instance.profile.as_array()
-    weights = instance.policy.weights(k)
-    sites, occupancy = _occupancy(config, range(k))
-    # Coverage accumulates site by site: no M x R float temporary, and the
-    # per-round sum runs in site order whatever BLAS the machine has.
-    covered = np.zeros(rounds)
-    for x in range(instance.sites):
-        covered += f[x] * (occupancy[x] > 0)
-    round_index = np.arange(rounds)
-    payoffs = np.empty((k, rounds))
-    for i in range(k):
-        chosen = sites[i]
-        payoffs[i] = f[chosen] * weights[occupancy[chosen, round_index] - 1]
-    return sites, payoffs, covered
-
-
-def _mean_and_stderr(samples: np.ndarray) -> tuple[float, float]:
-    n = samples.size
-    mean = float(np.mean(samples))
-    if n < 2:
-        return mean, 0.0
-    return mean, float(np.std(samples, ddof=1) / math.sqrt(n))
+    Yields per chunk of c rounds the (site, occupancy) cell ``x * n + l - 1``
+    of every pick at 0-based site x with l players there (n, c), and each
+    round's coverage (c,): the visited sites' values added in site order.
+    """
+    instance, rounds, seed = config.instance, config.rounds, config.seed
+    m, n, f = instance.sites, len(players), instance.profile.as_array()
+    width = min(rounds, max(1, min(_CHUNK_ENTRIES // m, max(16, _CHUNK_ENTRIES // n))))
+    streams = (np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,)))) for i in players)
+    streams = list(streams) if width < rounds else streams  # one chunk: make, draw, drop each
+    groups: dict[tuple[float, ...], list[int]] = {}
+    for row, i in enumerate(players):
+        groups.setdefault(config.strategies[i].probs, []).append(row)
+    # One sampler per distinct strategy; a symmetric profile samples all rows at once.
+    samplers = [(_sampler(np.array(p)), rows if len(groups) > 1 else slice(None)) for p, rows in groups.items()]
+    u = np.empty((n, width))
+    for start in range(0, rounds, width):
+        if start == 0 or rounds - start < width:
+            u = u[:, : rounds - start]
+            rows = list(u)
+        c = u.shape[1]
+        for stream, row in zip(streams, rows):
+            stream.random(out=row)
+        sites = np.empty((n, c), dtype=np.intp)
+        for sample, group in samplers:
+            sites[group] = sample(u[group])
+        cell = sites * c + np.arange(c)
+        heads = np.bincount(cell.ravel(), minlength=m * c)
+        # einsum adds each round's sites in order, without a temporary.
+        yield sites * n + heads[cell] - 1, np.einsum("x,xc->c", f, heads.reshape(m, c) > 0)
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -125,17 +137,31 @@ def simulate(config: SimConfig) -> SimReport:
     a site with total occupancy l earns value * C(l), and the round's
     coverage is the summed value of all distinct visited sites.
     """
-    _, payoffs, covered = _play_rounds(config)
-    stats = [_mean_and_stderr(payoffs[i]) for i in range(config.instance.players)]
-    cov_mean, cov_err = _mean_and_stderr(covered)
+    instance, rounds, m, k = config.instance, config.rounds, config.instance.sites, config.instance.players
+    payoff = np.outer(instance.profile.as_array(), instance.policy.weights(k)).ravel()
+    histogram = np.zeros(m * k, dtype=np.int64)
+    sums, squares, done = np.zeros(k + 1), np.zeros(k + 1), 0
+    for cells, covered in _chunks(config, range(k)):
+        c = covered.size
+        histogram += np.bincount(cells.ravel(), minlength=m * k)
+        samples = np.vstack([payoff[cells], covered])  # each player's payoff, then the coverage
+        # Merge the chunk's sum and squared deviations (summed as np.var does).
+        chunk_sum = samples.sum(axis=1)
+        squares += np.square(chunk_sum / c - sums / max(done, 1)) * (done * c / (done + c))
+        samples -= (chunk_sum / c)[:, None]
+        squares += np.square(samples, out=samples).sum(axis=1)
+        sums, done = sums + chunk_sum, done + c
+    means = sums / rounds
+    errors = np.sqrt(squares / (rounds - 1)) / math.sqrt(rounds) if rounds > 1 else np.zeros(k + 1)
     return SimReport(
-        mean_payoff_per_player=tuple(s[0] for s in stats),
-        mean_coverage=cov_mean,
-        std_error_payoff=tuple(s[1] for s in stats),
-        std_error_coverage=cov_err,
-        rounds=config.rounds,
+        mean_payoff_per_player=tuple(means[:k].tolist()),
+        mean_coverage=float(means[k]),
+        std_error_payoff=tuple(errors[:k].tolist()),
+        std_error_coverage=float(errors[k]),
+        rounds=rounds,
         seed=config.seed,
-        degenerate=config.rounds < 2,
+        degenerate=rounds < 2,
+        occupancy_histogram=tuple(map(tuple, histogram.reshape(m, k).tolist())),
     )
 
 
@@ -148,13 +174,14 @@ def empirical_site_values(config: SimConfig) -> list[float]:
     Returns the per-site mean rewards; the residents' draws are shared
     across sites, so the M estimates use common random numbers.
     """
-    instance = config.instance
-    first = config.strategies[0]
-    _check(
-        all(s.probs == first.probs for s in config.strategies),
-        "strategies: site-value estimation requires a symmetric resident profile",
-    )
-    f = instance.profile.as_array()
-    weights = instance.policy.weights(instance.players)
-    _, occupancy = _occupancy(config, range(1, instance.players))
-    return [float(np.mean(f[x] * weights[occupancy[x]])) for x in range(instance.sites)]
+    instance, symmetric = config.instance, all(s.probs == config.strategies[0].probs for s in config.strategies)
+    _check(symmetric, "strategies: site-value estimation requires a symmetric resident profile")
+    m, n, weights = instance.sites, instance.players - 1, instance.policy.weights(instance.players)
+    histogram = np.zeros(m * n, dtype=np.int64)
+    for cells, _ in _chunks(config, range(1, n + 1)):
+        histogram += np.bincount(cells.ravel(), minlength=m * n)
+    # l residents at a site in a round add l to its cell l-1, so visits[x, l-1]
+    # counts the rounds with l residents at site x; the other rounds have none.
+    visits = histogram.reshape(m, n) // np.arange(1, n + 1)
+    payoffs = (config.rounds - visits.sum(axis=1)) * weights[0] + visits @ weights[1:]
+    return (instance.profile.as_array() * payoffs / config.rounds).tolist()

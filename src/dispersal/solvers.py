@@ -184,21 +184,18 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     ``verify_ifd`` and must come back with residual <= 1e-8 * value(1),
     otherwise a ``SolverError`` carrying diagnostics is raised.
 
-    A congestion policy that is constant on 1..players makes every site
-    value independent of play; that degenerate case returns the point mass
-    on the first (highest-value) site.
+    When value(2) / value(1) <= C(players), as under any constant policy, a
+    full collision at the first site pays at least a solo visit to the
+    second, and the point mass on the first site is returned at once.
     """
     profile, players, policy = instance.profile, instance.players, instance.policy
-    if instance.sites == 1:
-        return verify_ifd(instance, Strategy((1.0,)))
-    if policy.is_constant_on(players):
-        return verify_ifd(instance, Strategy.point_mass(1, instance.sites))
-
     top = profile.values[0]
     f = profile.as_array() / top
     weights = policy.weights(players)
-    response, slope = _bernstein(weights), _bernstein((players - 1) * np.diff(weights))
     floor_weight = float(weights[-1])
+    if f.size == 1 or f[1] <= floor_weight:
+        return verify_ifd(instance, Strategy.point_mass(1, instance.sites))
+    response, slope = _bernstein(weights), _bernstein((players - 1) * np.diff(weights))
 
     def site_probs(target: float, guess: np.ndarray, low: np.ndarray, high: np.ndarray):
         # Site x gets the p in [low, high] with f(x) R(p) = target, clamped to

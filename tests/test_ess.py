@@ -83,6 +83,22 @@ class TestMixturePayoff:
         assert at_zero == expected_payoff_profile(instance, focal, [resident] * 3)
         assert at_one == expected_payoff_profile(instance, focal, [mutant] * 3)
 
+    @given(
+        values=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8),
+        players=st.integers(2, 8),
+        kind=st.sampled_from(["exclusive", "sharing", "table"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_boundaries_equal_pure_profiles_for_every_policy(self, values, players, kind, seed):
+        rng = np.random.default_rng(seed)
+        policy = random_nonexclusive_table(rng, players) if kind == "table" else CongestionPolicy(kind)
+        instance = GameInstance(ValueProfile(tuple(values)), players, policy)
+        focal, resident, mutant = (random_strategy(rng, len(values)) for _ in range(3))
+        tolerance = 1e-12 * instance.profile.values[0]
+        for epsilon, opponent in ((0.0, resident), (1.0, mutant)):
+            expected = expected_payoff_profile(instance, focal, [opponent] * (players - 1))
+            assert abs(mixture_payoff(instance, focal, resident, mutant, epsilon) - expected) <= tolerance
+
     def test_even_mixture_example(self):
         instance = exclusive(TWO_SITES)
         optimum = coverage_optimum(TWO_SITES, 2).strategy

@@ -169,6 +169,25 @@ class TestSolveIfd:
         assert report.strategy.probs == (1.0, 0.0)
         assert report.common_value == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "values, players, policy",
+        [
+            ((1.0, 0.3), 3, CongestionPolicy.sharing()),
+            ((1.0, 0.5, 0.2), 3, CongestionPolicy.from_table((1.0, 0.8, 0.6))),
+            ((2.0, 1.2, 1.1, 0.4), 4, CongestionPolicy.from_table((1.0, 0.9, 0.7, 0.6))),
+            ((1.0, 0.25), 4, CongestionPolicy.sharing()),  # f(2) / f(1) == C(k)
+        ],
+    )
+    def test_clamped_top_site_is_returned_without_kernel_evaluations(self, evaluations, values, players, policy):
+        # With f(2) / f(1) <= C(k) a full collision on the first site still
+        # pays as much as the second site alone: the point mass is the IFD.
+        instance = GameInstance(ValueProfile(values), players, policy)
+        report = solve_ifd(instance)
+        assert evaluations[0] == 0
+        assert report.strategy == Strategy.point_mass(1, len(values))
+        assert report.passed
+        assert np.max(np.abs(report.strategy.as_array() - nested_bisection_ifd(instance))) <= 1e-9
+
     def test_negative_collision_weights(self):
         instance = GameInstance(TWO_SITES, 2, CongestionPolicy.from_table((1.0, -0.5)))
         report = solve_ifd(instance)
@@ -304,7 +323,7 @@ def instance_parts(draw, max_sites, max_players):
 def small_instances(draw):
     """M <= 20, k <= 8, any policy kind but a constant table."""
     values, players, policy = draw(instance_parts(20, 8))
-    assume(not policy.is_constant_on(players))
+    assume(np.any(policy.weights(players) != 1.0))
     return GameInstance(ValueProfile(values), players, policy)
 
 
