@@ -26,6 +26,7 @@ from .game import (
     ValidationError,
     ValueProfile,
     _check,
+    _count,
     coverage,
 )
 from .montecarlo import SimConfig, SimReport, simulate
@@ -100,7 +101,7 @@ def _load_instance(path: str, min_players: int = 2) -> tuple[ValueProfile, GameI
             _check(key in raw, f"missing field {key!r}")
         values, players, policy = (raw[key] for key in INSTANCE_FIELDS)
         _check(isinstance(values, list), "values: must be a list")
-        _check(type(players) is int and players >= min_players, f"players: must be an integer >= {min_players}")
+        _count(players, "players", min_players)
         _check(isinstance(policy, dict), "policy: must be an object")
         for key in policy:
             _check(key in ("type", "table"), f"policy.{key}: unknown field")
@@ -164,8 +165,7 @@ def cmd_spoa(args: argparse.Namespace) -> int:
 
 
 def cmd_ess_check(args: argparse.Namespace) -> int:
-    if args.mutants < 1:
-        raise ValidationError(f"--mutants: must be >= 1, got {args.mutants}")
+    _count(args.mutants, "--mutants", 1)
     _, instance = _load_instance(args.instance)
     is_exclusive = instance.policy.is_exclusive_on(instance.players)
     if is_exclusive:
@@ -219,8 +219,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("--c-min/--c-max: competition weight must stay below 1")
     if args.c_max < args.c_min:
         raise ValidationError("--c-max: must be >= --c-min")
-    if args.steps < 1 or (args.steps == 1 and args.c_max != args.c_min):
-        raise ValidationError("--steps: must be >= 2 for a non-degenerate range")
+    _count(args.steps, "--steps", 1 if args.c_max == args.c_min else 2)  # one point only for a one-point range
 
     profile = ValueProfile((1.0, args.f2))
     players = 2

@@ -20,8 +20,9 @@ from .game import (
     Strategy,
     ValueProfile,
     _check,
+    _count,
     _site_payoffs,
-    expected_payoff_profile,
+    site_values,
 )
 from .solvers import coverage_optimum
 
@@ -54,14 +55,6 @@ class EssVerdict:
     margins: tuple[float, ...]
 
 
-def _mixed_opponents(instance: GameInstance, resident: Strategy, mutant: Strategy, epsilon: float) -> list[Strategy]:
-    """k-1 opponents, each playing (1 - epsilon) * resident + epsilon * mutant."""
-    _check(0.0 <= epsilon <= 1.0, f"epsilon: must lie in [0, 1], got {epsilon}")
-    _check(resident.size == mutant.size, "mutant: strategy size must match the resident's")
-    mixed = Strategy.from_array((1.0 - epsilon) * resident.as_array() + epsilon * mutant.as_array())
-    return [mixed] * (instance.players - 1)
-
-
 def mixture_payoff(
     instance: GameInstance,
     focal: Strategy,
@@ -73,10 +66,15 @@ def mixture_payoff(
 
     Each opponent is independently a resident with probability 1 - epsilon
     and a mutant with probability epsilon, so every opponent plays the
-    mixed strategy (1 - epsilon) * resident + epsilon * mutant. At epsilon
-    0 or 1 it reduces exactly to the corresponding pure profile.
+    mixed strategy (1 - epsilon) * resident + epsilon * mutant: a symmetric
+    field, whose payoff is ``focal`` dotted with its site values. At epsilon
+    0 or 1 it is the corresponding pure profile.
     """
-    return expected_payoff_profile(instance, focal, _mixed_opponents(instance, resident, mutant, epsilon))
+    _check(0.0 <= epsilon <= 1.0, f"epsilon: must lie in [0, 1], got {epsilon}")
+    _check(resident.size == mutant.size, "mutant: strategy size must match the resident's")
+    _check(focal.size == instance.sites, "focal: strategy size must match the number of sites")
+    mixed = Strategy.from_array((1.0 - epsilon) * resident.as_array() + epsilon * mutant.as_array())
+    return float(focal.as_array() @ site_values(instance, mixed))
 
 
 def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: Strategy) -> EssVerdict:
@@ -109,12 +107,9 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
 
 
 def _closed_form_inputs(profile, players, support_size, n_mutants, mutant):
-    _check(players >= 3, f"players: closed forms need at least 3 players, got {players}")
-    _check(
-        1 <= n_mutants <= players - 2,
-        f"n_mutants: must lie in [1, {players - 2}], got {n_mutants}",
-    )
-    _check(1 <= support_size <= profile.size, "support_size: out of range")
+    _count(players, "players", 3)
+    _count(n_mutants, "n_mutants", 1, players - 2)
+    _count(support_size, "support_size", 1, profile.size)
     probs = mutant.as_array()
     _check(
         not np.any(probs[support_size:] > SUPPORT_EPS),
@@ -183,8 +178,7 @@ def invasion_sweep(
     for eps in epsilons:
         eps = float(eps)
         _check(0.0 < eps < 1.0, f"epsilons: entries must lie in (0, 1), got {eps}")
-        payoffs = _site_payoffs(instance, _mixed_opponents(instance, resident, mutant, eps))
-        rows.append((eps, float(resident.as_array() @ payoffs), float(mutant.as_array() @ payoffs)))
+        rows.append((eps, *(mixture_payoff(instance, focal, resident, mutant, eps) for focal in (resident, mutant))))
     return rows
 
 
@@ -208,7 +202,8 @@ def mutant_generator(profile: ValueProfile, players: int, seed: int, count: int)
     perturbations of the closed-form optimum. The same seed always yields
     the same list.
     """
-    _check(count >= 1, f"count: must be >= 1, got {count}")
+    _count(seed, "seed", 0)
+    _count(count, "count", 1)
     rng = np.random.default_rng(seed)
     m = profile.size
     anchor = coverage_optimum(profile, players).strategy.as_array()

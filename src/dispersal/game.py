@@ -65,6 +65,17 @@ def _numbers(values, name: str) -> tuple[float, ...]:
     return floats
 
 
+def _count(value, name: str, low: int, high: int | None = None) -> None:
+    """Check that ``value`` is an integer in [low, high]; the one check of integer counts.
+
+    Bools and other non-integers, 2.0 included, fail as out-of-range integers do.
+    """
+    integer = type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+    if not (integer and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name}: must be an integer {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ValueProfile:
     """Site values, canonicalized to non-increasing order.
@@ -138,28 +149,31 @@ class CongestionPolicy:
     def from_table(cls, entries) -> "CongestionPolicy":
         return cls("table", tuple(entries))
 
+    def _weights(self, low: int, high: int) -> np.ndarray:
+        """C(l) for l = low..high, 1 <= low <= high; the one rule behind every weight.
+
+        A table is sliced, so ``at`` costs O(1) and ``weights(k)`` converts k entries.
+        """
+        if self.kind == "table":
+            assert self.table is not None
+            _check(high <= len(self.table), f"policy.table: needs at least {high} entries, got {len(self.table)}")
+            return np.array(self.table[low - 1 : high])
+        occupancies = np.arange(low, high + 1)
+        return (occupancies == 1).astype(float) if self.kind == "exclusive" else 1.0 / occupancies
+
     def at(self, occupancy: int) -> float:
         """Weight C(l) for a site occupied by ``occupancy`` players."""
-        _check(occupancy >= 1, f"occupancy: must be >= 1, got {occupancy}")
-        if self.kind == "exclusive":
-            return 1.0 if occupancy == 1 else 0.0
-        if self.kind == "sharing":
-            return 1.0 / occupancy
-        assert self.table is not None
-        _check(
-            occupancy <= len(self.table),
-            f"occupancy: table policy defines weights up to {len(self.table)}, got {occupancy}",
-        )
-        return self.table[occupancy - 1]
+        _count(occupancy, "occupancy", 1)
+        return float(self._weights(occupancy, occupancy)[0])
 
     def weights(self, players: int) -> np.ndarray:
         """Array of C(1..players)."""
-        return np.array([self.at(l) for l in range(1, players + 1)])
+        _count(players, "players", 1)
+        return self._weights(1, players)
 
     def is_exclusive_on(self, players: int) -> bool:
         """True when the weights over occupancies 1..players match the exclusive rule."""
-        w = self.weights(players)
-        return bool(w[0] == 1.0 and np.all(w[1:] == 0.0))
+        return not np.any(self.weights(players)[1:])
 
 
 @dataclass(frozen=True)
@@ -183,7 +197,7 @@ class Strategy:
     @classmethod
     def point_mass(cls, site: int, size: int) -> "Strategy":
         """All mass on 1-based ``site``."""
-        _check(1 <= site <= size, f"site: must be in [1, {size}], got {site}")
+        _count(site, "site", 1, size)
         return cls(tuple(1.0 if x == site - 1 else 0.0 for x in range(size)))
 
     @classmethod
@@ -217,14 +231,8 @@ class GameInstance:
     policy: CongestionPolicy
 
     def __post_init__(self) -> None:
-        _check(type(self.players) is int and self.players >= 2, f"players: must be an integer >= 2, got {self.players}")
-        if self.policy.kind == "table":
-            assert self.policy.table is not None
-            _check(
-                len(self.policy.table) >= self.players,
-                f"policy.table: needs at least {self.players} entries for {self.players} players, "
-                f"got {len(self.policy.table)}",
-            )
+        _count(self.players, "players", 2)
+        self.policy.at(self.players)  # a table must reach C(players)
 
     @property
     def sites(self) -> int:
@@ -265,11 +273,8 @@ class CollisionDistribution:
 
 def payoff_single(instance: GameInstance, site: int, occupancy: int) -> float:
     """Reward for one player at 1-based ``site`` with total occupancy ``occupancy``."""
-    _check(1 <= site <= instance.sites, f"site: must be in [1, {instance.sites}], got {site}")
-    _check(
-        1 <= occupancy <= instance.players,
-        f"occupancy: must be in [1, {instance.players}], got {occupancy}",
-    )
+    _count(site, "site", 1, instance.sites)
+    _count(occupancy, "occupancy", 1, instance.players)
     return instance.profile.values[site - 1] * instance.policy.at(occupancy)
 
 
@@ -327,11 +332,6 @@ def _bernstein(coeffs):
     return evaluate
 
 
-def congestion_kernel(policy: CongestionPolicy, players: int):
-    """Evaluator of R(p) = E[C(1 + B)] with B ~ Binomial(players - 1, p), for any number of players."""
-    return _bernstein(policy.weights(players))
-
-
 def congestion_response(policy: CongestionPolicy, players: int, probs) -> np.ndarray:
     """Expected congestion weight at sites selected with probabilities ``probs``.
 
@@ -339,7 +339,7 @@ def congestion_response(policy: CongestionPolicy, players: int, probs) -> np.nda
     counts co-selecting opponents in a symmetric field. Decreasing in p
     whenever C is non-constant on 1..players.
     """
-    return congestion_kernel(policy, players)(np.asarray(probs, dtype=float))
+    return _bernstein(policy.weights(players))(np.asarray(probs, dtype=float))
 
 
 def site_values(instance: GameInstance, strategy: Strategy) -> np.ndarray:
@@ -358,7 +358,7 @@ def site_values(instance: GameInstance, strategy: Strategy) -> np.ndarray:
 
 def site_value(instance: GameInstance, strategy: Strategy, site: int) -> float:
     """Expected payoff of committing to 1-based ``site`` against a symmetric field."""
-    _check(1 <= site <= instance.sites, f"site: must be in [1, {instance.sites}], got {site}")
+    _count(site, "site", 1, instance.sites)
     return float(site_values(instance, strategy)[site - 1])
 
 
@@ -392,7 +392,7 @@ def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) 
 
 def coverage(profile: ValueProfile, players: int, strategy: Strategy) -> float:
     """Expected total value of sites visited by at least one of k players."""
-    _check(players >= 1, f"players: must be >= 1, got {players}")
+    _count(players, "players", 1)
     _check(strategy.size == profile.size, "strategy: size must match the number of sites")
     f = profile.as_array()
     p = strategy.as_array()
@@ -401,7 +401,7 @@ def coverage(profile: ValueProfile, players: int, strategy: Strategy) -> float:
 
 def miss_weight(profile: ValueProfile, players: int, strategy: Strategy) -> float:
     """Expected total value left unvisited; complements coverage to sum(values)."""
-    _check(players >= 1, f"players: must be >= 1, got {players}")
+    _count(players, "players", 1)
     _check(strategy.size == profile.size, "strategy: size must match the number of sites")
     f = profile.as_array()
     p = strategy.as_array()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, Strategy, _check
+from .game import GameInstance, Strategy, _check, _count
 
 MAX_SEED = 2**64
 # Site-rounds and player-rounds per chunk; beyond that many players, 16 rounds amortise the draw calls.
@@ -38,8 +38,8 @@ class SimConfig:
     strategies: tuple[Strategy, ...]
 
     def __post_init__(self) -> None:
-        _check(type(self.rounds) is int and self.rounds >= 1, f"rounds: must be an integer >= 1, got {self.rounds}")
-        _check(type(self.seed) is int and 0 <= self.seed < MAX_SEED, "seed: must be a 64-bit unsigned integer")
+        _count(self.rounds, "rounds", 1)
+        _count(self.seed, "seed", 0, MAX_SEED - 1)
         strategies, k = tuple(self.strategies), self.instance.players
         _check(len(strategies) == k, f"strategies: expected {k} entries, got {len(strategies)}")
         for i, s in enumerate(strategies):

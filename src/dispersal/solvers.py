@@ -21,9 +21,9 @@ from .game import (
     GameInstance,
     Strategy,
     ValueProfile,
-    _check,
     _bernstein,
-    congestion_kernel,
+    _check,
+    _count,
     coverage,
     site_values,
 )
@@ -109,7 +109,7 @@ def coverage_optimum(profile: ValueProfile, players: int) -> CoverageOptimum:
     The support is the largest prefix of sites over which the Pareto shape
     stays a probability vector; the normalizer then makes it sum to one.
     """
-    _check(players >= 2, f"players: must be >= 2, got {players}")
+    _count(players, "players", 2)
     f = profile.as_array()
     m = profile.size
     exponent = 1.0 / (players - 1)
@@ -312,7 +312,7 @@ def welfare_optimum(instance: GameInstance) -> WelfareOptimum:
     ``WELFARE_REFINE_WINDOW`` steps and the moves summing to zero.
     """
     f = instance.profile.as_array()[:, None]
-    response = congestion_kernel(instance.policy, instance.players)
+    response = _bernstein(instance.policy.weights(instance.players))
     n = round(1.0 / WELFARE_GRID_STEP)
     units = np.arange(n + 1) / n
     probs = _allocate_units(f * (units * response(units))) / n
@@ -342,7 +342,7 @@ def coverage_grid_oracle(profile: ValueProfile, players: int, grid_step: float) 
     """
     m = profile.size
     _check(m <= 4, f"profile: grid oracle supports at most 4 sites, got {m}")
-    _check(players >= 1, f"players: must be >= 1, got {players}")
+    _count(players, "players", 1)
     n = round(1.0 / grid_step)
     _check(n >= 1 and abs(n * grid_step - 1.0) < 1e-9, f"grid_step: must evenly divide 1, got {grid_step}")
     f = profile.as_array()
@@ -356,8 +356,12 @@ def symmetric_price_of_anarchy(instance: GameInstance) -> float:
     """Coverage of the optimum over coverage of the symmetric equilibrium.
 
     The symmetric equilibrium is unique for non-increasing congestion
-    policies, so the worst equilibrium is the only one; the ratio is 1
-    exactly when the policy is exclusive.
+    policies, so the worst equilibrium is the only one. The ratio is 1
+    under the exclusive policy; that any other policy loses coverage holds
+    over instances, not on each one (tied values or a single site give 1).
+    The tests check that it exceeds 1 + 1e-9 for M and k in 2..8, each
+    value between 0.1 and 0.9 times the one before, under sharing or a
+    non-negative non-increasing table with C(2) >= 0.1.
     """
     optimum = coverage_optimum(instance.profile, instance.players)
     equilibrium = solve_ifd(instance)

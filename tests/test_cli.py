@@ -90,7 +90,7 @@ class TestSolve:
         path = write_instance(tmp_path, players=3, policy={"type": "table", "table": [1.0, 0.5]})
         code, _, err = run(capsys, ["solve", "--instance", path, "--mode", "ifd"])
         assert code == 2
-        assert "table" in err
+        assert err == f"error: {path}: policy.table: needs at least 3 entries, got 2\n"
 
     def test_single_player_is_trivial_with_warning(self, tmp_path, capsys):
         path = write_instance(tmp_path, players=1)
@@ -204,6 +204,12 @@ class TestEssCheck:
         path = write_instance(tmp_path)
         code, _, err = run(capsys, ["ess-check", "--instance", path, "--mutants", "0"])
         assert code == 2
+
+    def test_negative_seed_is_a_validation_error(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        code, _, err = run(capsys, ["ess-check", "--instance", path, "--mutants", "3", "--seed", "-1"])
+        assert code == 2
+        assert err.startswith("error: seed: must be an integer >= 0")
 
     def test_same_seed_is_reproducible(self, tmp_path, capsys):
         path = write_instance(tmp_path)
@@ -439,6 +445,54 @@ class TestValidationSurface:
             code = main(["solve", "--instance", str(path), "--mode", "sigma-star"])
         assert code == 2
         assert field in err.getvalue()
+
+
+@st.composite
+def valid_instances(draw):
+    """A valid instance file: 1-8 values from 1e-30 to 1e30, ties included,
+    k 2-60, and exclusive, sharing or a steep non-increasing table that may
+    turn negative."""
+    magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-30, 29))
+    values = draw(st.lists(magnitudes, min_size=1, max_size=6))
+    values += draw(st.lists(st.sampled_from(values), max_size=8 - len(values)))
+    players = draw(st.integers(2, 60))
+    policy = {"type": draw(st.sampled_from(["exclusive", "sharing", "table"]))}
+    if policy["type"] == "table":
+        policy["table"] = [1.0]
+        for drop in draw(st.lists(st.floats(0.0, 10.0), min_size=players - 1, max_size=players - 1)):
+            policy["table"].append(policy["table"][-1] - drop)
+    return {"values": draw(st.permutations(values)), "players": players, "policy": policy}
+
+
+SOLVER_COMMANDS = (
+    ("solve", "--mode", "ifd"),
+    ("spoa",),
+    ("solve", "--mode", "welfare-opt"),
+    ("simulate", "--strategy", "ifd", "--rounds", "20"),
+)
+
+
+class TestSolverSurface:
+    """Valid instance files end in exit 0 with parseable output, or in exit 3
+    with JSON diagnostics; no exception and no warning escapes."""
+
+    @settings(max_examples=50)
+    @given(payload=valid_instances())
+    def test_exit_0_or_3(self, instance_dir, payload):
+        path = instance_dir / "valid.json"
+        path.write_text(json.dumps(payload))
+        for command in SOLVER_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command[0], "--instance", str(path), *command[1:]])
+            assert code in (0, 3)
+            if code == 0:
+                assert err.getvalue() == ""
+                json.loads(out.getvalue())  # a spoa ratio is a JSON number
+            else:
+                message = err.getvalue()
+                assert message.startswith("error: ") and message.endswith("}\n")
+                assert isinstance(json.loads(message[message.index("{") :]), dict)
 
 
 class TestRoundDistribution:

@@ -9,14 +9,20 @@ from dispersal import (
     CollisionDistribution,
     CongestionPolicy,
     GameInstance,
+    SimConfig,
     Strategy,
     ValidationError,
     ValueProfile,
+    closed_form_mutant_payoff,
+    closed_form_resident_payoff,
     collision_distribution,
     congestion_response,
     coverage,
+    coverage_grid_oracle,
+    coverage_optimum,
     expected_payoff_profile,
     miss_weight,
+    mutant_generator,
     payoff_single,
     site_value,
     site_values,
@@ -75,10 +81,106 @@ class TestCongestionPolicy:
         with pytest.raises(ValidationError):
             CongestionPolicy.from_table((1.0, 0.2, 0.5))
 
+    @pytest.mark.parametrize("players", [1, 2, 3, 8, 60, 2000])
+    def test_weights_follow_the_per_kind_rule_bit_for_bit(self, players):
+        occupancies = range(1, players + 1)
+        table = (1.0, *np.linspace(0.5, -1.0, players).tolist())
+        references = {
+            CongestionPolicy.exclusive(): [1.0 if l == 1 else 0.0 for l in occupancies],
+            CongestionPolicy.sharing(): [1 / l for l in occupancies],
+            CongestionPolicy.from_table(table): [table[l - 1] for l in occupancies],
+        }
+        for policy, expected in references.items():
+            weights = policy.weights(players)
+            assert weights.dtype == np.float64
+            assert weights.tobytes() == np.array(expected).tobytes()
+            assert [policy.at(l) for l in occupancies] == weights.tolist()
+            assert policy.is_exclusive_on(players) == (policy.kind == "exclusive" or players == 1)
+
+    def test_short_table_error_names_the_table(self):
+        policy = CongestionPolicy.from_table((1.0, 0.5))
+        with pytest.raises(ValidationError, match=r"^policy\.table: needs at least 3 entries, got 2$"):
+            GameInstance(TWO_SITES, 3, policy)
+        with pytest.raises(ValidationError, match=r"^policy\.table: needs at least 3 entries, got 2$"):
+            policy.at(3)
+        with pytest.raises(ValidationError, match=r"^policy\.table: needs at least 3 entries, got 2$"):
+            policy.weights(3)
+
     def test_exclusive_detection_covers_equivalent_tables(self):
         assert CongestionPolicy.from_table((1.0, 0.0)).is_exclusive_on(2)
         assert not CongestionPolicy.from_table((1.0, 0.1)).is_exclusive_on(2)
         assert CongestionPolicy.exclusive().is_exclusive_on(5)
+
+
+EVEN = Strategy((0.5, 0.5))
+SHARING = CongestionPolicy.sharing()
+SHARED = GameInstance(TWO_SITES, 2, SHARING)
+
+
+def closed_forms(k, players=None, support_size=2, n_mutants=1):
+    """Both closed-form payoffs of the k-player optimum against point-mass mutants."""
+    optimum = coverage_optimum(TWO_SITES, k)
+    mutant = Strategy.point_mass(1, 2)
+    args = (k if players is None else players, support_size, optimum.normalizer, mutant, n_mutants)
+    return closed_form_resident_payoff(TWO_SITES, *args), closed_form_mutant_payoff(TWO_SITES, *args)
+
+
+def closed_forms_direct(k, n_mutants):
+    """The same payoffs through the Poisson-binomial DP."""
+    optimum, mutant = coverage_optimum(TWO_SITES, k).strategy, Strategy.point_mass(1, 2)
+    game = exclusive(TWO_SITES, k)
+    opponents = [mutant] * n_mutants + [optimum] * (k - n_mutants - 1)
+    return tuple(expected_payoff_profile(game, focal, opponents) for focal in (optimum, mutant))
+
+
+def case(label, name, call, valid, expected, outside):
+    """An integer argument, a call taking it, a valid value with the call's result, and an out-of-range integer."""
+    return pytest.param(name, call, valid, expected, outside, id=f"{label}.{name}")
+
+
+INTEGER_ARGUMENTS = [
+    case("coverage", "players", lambda v: coverage(TWO_SITES, v, EVEN), 2, 1.125, 0),
+    case("miss_weight", "players", lambda v: miss_weight(TWO_SITES, v, EVEN), 2, 0.375, 0),
+    case("coverage_optimum", "players", lambda v: coverage_optimum(TWO_SITES, v).strategy.probs, 2, (2 / 3, 1 / 3), 1),
+    case("coverage_grid_oracle", "players", lambda v: coverage_grid_oracle(TWO_SITES, v, 0.5)[1], 2, 1.125, 0),
+    case("GameInstance", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, 2, 2, 1),
+    case("weights", "players", lambda v: SHARING.weights(v).tolist(), 2, [1.0, 0.5], 0),
+    case("congestion_response", "players", lambda v: congestion_response(SHARING, v, [1.0]).tolist(), 2, [0.5], 0),
+    case("closed_forms", "players", lambda v: closed_forms(3, players=v), 3, closed_forms_direct(3, 1), 2),
+    case("sharing.at", "occupancy", lambda v: SHARING.at(v), 2, 0.5, 0),
+    case("table.at", "occupancy", lambda v: CongestionPolicy.from_table((1.0, 0.5)).at(v), 2, 0.5, 0),
+    case("payoff_single", "occupancy", lambda v: payoff_single(SHARED, 1, v), 2, 0.5, 3),
+    case("payoff_single", "site", lambda v: payoff_single(SHARED, v, 1), 2, 0.5, 3),
+    case("site_value", "site", lambda v: site_value(SHARED, EVEN, v), 2, 0.375, 0),
+    case("point_mass", "site", lambda v: Strategy.point_mass(v, 2).probs, 2, (0.0, 1.0), 3),
+    case("SimConfig", "rounds", lambda v: SimConfig.symmetric(v, 0, SHARED, EVEN).rounds, 2, 2, 0),
+    case("SimConfig", "seed", lambda v: SimConfig.symmetric(10, v, SHARED, EVEN).seed, 2, 2, 2**64),
+    case("mutant_generator", "seed", lambda v: len(mutant_generator(TWO_SITES, 2, v, 3)), 2, 3, -1),
+    case("mutant_generator", "count", lambda v: len(mutant_generator(TWO_SITES, 2, 0, v)), 2, 2, 0),
+    case("closed_forms", "n_mutants", lambda v: closed_forms(4, n_mutants=v), 2, closed_forms_direct(4, 2), 3),
+    case("closed_forms", "support_size", lambda v: closed_forms(3, support_size=v), 2, closed_forms_direct(3, 1), 3),
+]
+CASES = ("name", "call", "valid", "expected", "outside")
+
+
+class TestIntegerArguments:
+    """Every integer argument goes through one check: bools, floats (2.0
+    included) and out-of-range integers raise a ValidationError naming it."""
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 2.0])
+    @pytest.mark.parametrize(CASES, INTEGER_ARGUMENTS)
+    def test_bools_and_floats_are_rejected(self, name, call, valid, expected, outside, bad):
+        with pytest.raises(ValidationError, match=rf"^{name}: must be an integer "):
+            call(bad)
+
+    @pytest.mark.parametrize(CASES, INTEGER_ARGUMENTS)
+    def test_out_of_range_counts_are_rejected(self, name, call, valid, expected, outside):
+        with pytest.raises(ValidationError, match=rf"^{name}: must be an integer .*, got {outside}$"):
+            call(outside)
+
+    @pytest.mark.parametrize(CASES, INTEGER_ARGUMENTS)
+    def test_valid_counts_keep_their_results(self, name, call, valid, expected, outside):
+        assert call(valid) == pytest.approx(expected, abs=1e-12)
 
 
 class TestStrategy:

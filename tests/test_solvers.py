@@ -25,10 +25,15 @@ from dispersal import (
 )
 from dispersal import solvers
 from dispersal.ess import project_to_simplex
-from dispersal.game import SUPPORT_EPS, congestion_kernel
+from dispersal.game import SUPPORT_EPS, _bernstein
 from dispersal.solvers import WELFARE_GRID_STEP, WELFARE_REFINE_STEP, _allocate_units
 
 TWO_SITES = ValueProfile((1.0, 0.5))
+
+
+def congestion_kernel(policy, players):
+    """R(p) = E[C(1 + Bin(players - 1, p))], built as the solvers build it."""
+    return _bernstein(policy.weights(players))
 
 
 def exclusive(profile, players=2):
@@ -544,7 +549,43 @@ class TestOptimalityProperties:
                 assert value < best - 1e-9
 
 
+@st.composite
+def separated_non_exclusive_instances(draw):
+    """M 2-8, k 2-8, each value at most 0.9 and at least 0.1 times the one
+    before, and sharing or a non-negative non-increasing table with C(2) >= 0.1."""
+    sites, players = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    values = [1.0]
+    for ratio in draw(st.lists(st.floats(0.1, 0.9), min_size=sites - 1, max_size=sites - 1)):
+        values.append(values[-1] * ratio)
+    if draw(st.booleans()):
+        policy = CongestionPolicy.sharing()
+    else:
+        table = [1.0, draw(st.floats(0.1, 1.0))]
+        for factor in draw(st.lists(st.floats(0.0, 1.0), min_size=players - 2, max_size=players - 2)):
+            table.append(table[-1] * factor)
+        policy = CongestionPolicy.from_table(table)
+    return GameInstance(ValueProfile(tuple(values)), players, policy)
+
+
 class TestPriceOfAnarchy:
+    @settings(max_examples=150)
+    @given(instance=separated_non_exclusive_instances())
+    @example(instance=GameInstance(ValueProfile((1.0, 0.9)), 8, CongestionPolicy.from_table((1.0, 0.1) + (0.0,) * 6)))
+    def test_non_exclusive_policies_cost_coverage_on_separated_values(self, instance):
+        # The paper's main result, on the side the exclusive property does
+        # not cover: on values each 0.1 to 0.9 times the one before, a
+        # policy paying at least 0.1 to each of two colliding players loses
+        # coverage (measured minimum about 1e-7 above 1, at the example).
+        assert symmetric_price_of_anarchy(instance) >= 1.0 + 1e-9
+
+    @pytest.mark.xfail(raises=SolverError, strict=True, reason="flat C near C(1) needs nu within an ulp of f(2)")
+    def test_flat_table_on_separated_values(self):
+        # C(2) = C(1) makes R'(0) = 0, so a site's probability rises from 0
+        # as (f(x) - nu)^(1/j): here the second site needs nu closer to f(2)
+        # than a float resolves, and solve_ifd raises SolverError.
+        instance = GameInstance(ValueProfile((1.0, 0.1)), 8, CongestionPolicy.from_table((1.0,) * 7 + (0.0,)))
+        assert symmetric_price_of_anarchy(instance) >= 1.0 + 1e-9
+
     def test_exclusive_policy_is_anarchy_free(self):
         rng = np.random.default_rng(72)
         for _ in range(10):
