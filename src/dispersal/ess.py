@@ -19,9 +19,9 @@ from .game import (
     GameInstance,
     Strategy,
     ValueProfile,
+    _bernstein,
     _check,
     _count,
-    _site_payoffs,
     site_values,
 )
 from .solvers import coverage_optimum
@@ -85,7 +85,7 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
     mutant's, provided the two tied (within ``EQUALITY_TOL`` * f(1)) at
     every smaller m. It fails if a mix strictly favors the mutant or if no
     strict win appears by m = k - 1. Margins are (candidate - mutant) . v,
-    v being the mix's site payoffs, so each mix costs one DP.
+    v being the mix's site payoffs, from two Bernstein evaluations per mix.
     """
     _check(mutant.size == candidate.size, "mutant: strategy size must match the candidate's")
     difference = candidate.as_array() - mutant.as_array()
@@ -93,11 +93,15 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
         float(np.max(np.abs(difference))) > MIN_MUTANT_DISTANCE,
         f"mutant: must differ from the candidate by more than {MIN_MUTANT_DISTANCE} in max-norm",
     )
-    k = instance.players
-    scale = instance.profile.values[0]
+    k, f = instance.players, instance.profile.as_array()
+    scale, weights = f[0], instance.policy.weights(k)
     margins: list[float] = []
     for m in range(k):
-        margin = float(difference @ _site_payoffs(instance, [candidate] * (k - m - 1) + [mutant] * m))
+        # With Y ~ Bin(m, mutant(x)) and B ~ Bin(k-m-1, candidate(x)), site x pays value(x) *
+        # sum_y P(Y = y) E[C(1 + y + B)]; column y of the Hankel matrix weights[b + y] gives the E.
+        shifted = _bernstein(weights[np.add.outer(np.arange(k - m), np.arange(m + 1))])(candidate.as_array())
+        values = f * np.sum(shifted * _bernstein(np.eye(m + 1))(mutant.as_array()), axis=1)
+        margin = float(difference @ values)
         margins.append(margin)
         if margin > STRICT_MARGIN * scale:
             return EssVerdict(mutant=mutant, passed=True, witness_m=m, margins=tuple(margins))

@@ -27,6 +27,11 @@ DISTRIBUTION_SUM_TOL = 1e-12
 # the support of a strategy.
 SUPPORT_EPS = 1e-9
 
+# The kernel's log C(k-1, j) is a difference of lgamma values near k ln k,
+# so its terms are off by about k ln k ulps: 4e-10 at this bound, 25 times
+# inside the solvers' 1e-8 tolerance. An evaluation holds k floats a site.
+MAX_PLAYERS = 10**5
+
 
 class ValidationError(ValueError):
     """An argument or domain object violates its contract."""
@@ -231,7 +236,7 @@ class GameInstance:
     policy: CongestionPolicy
 
     def __post_init__(self) -> None:
-        _count(self.players, "players", 2)
+        _count(self.players, "players", 2, MAX_PLAYERS)
         self.policy.at(self.players)  # a table must reach C(players)
 
     @property
@@ -314,12 +319,13 @@ def collision_distribution(opponent_probs) -> CollisionDistribution:
 def _bernstein(coeffs):
     """Evaluator of E[coeffs[B]], B ~ Binomial(len(coeffs) - 1, p), for arrays of p in [0, 1].
 
-    The pmf is taken in log space, from log C(n, j) computed once with
-    ``lgamma``, so no coefficient overflows at any n; terms below exp(-745)
-    underflow to 0, and zero coefficients are skipped.
+    A matrix ``coeffs`` gives one expectation per column. The pmf is taken
+    in log space, from log C(n, j) computed once with ``lgamma``, so no
+    coefficient overflows at any n; terms below exp(-745) underflow to 0,
+    and all-zero rows of coefficients are skipped.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    n, j = coeffs.size - 1, np.flatnonzero(coeffs)
+    n, j = len(coeffs) - 1, np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
     log_comb = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j])
     # log 0 is floored to a finite value, so 0 * log 0 is 0 and n * log 0 still fits a float.
     floor, coeffs = -sys.float_info.max / (n + 2), coeffs[j]
@@ -362,23 +368,6 @@ def site_value(instance: GameInstance, strategy: Strategy, site: int) -> float:
     return float(site_values(instance, strategy)[site - 1])
 
 
-def _site_payoffs(instance: GameInstance, opponents) -> np.ndarray:
-    """Expected payoff of each site against k-1 explicit opponents.
-
-    Entry x is value(x) * E[C(1 + B_x)], B_x the Poisson-binomial count of
-    opponents on site x; a focal strategy's payoff is its dot product.
-    """
-    opponents = list(opponents)
-    _check(
-        len(opponents) == instance.players - 1,
-        f"opponents: expected {instance.players - 1} strategies, got {len(opponents)}",
-    )
-    for j, opp in enumerate(opponents):
-        _check(opp.size == instance.sites, f"opponents[{j}]: strategy size must match the number of sites")
-    pmfs = _collision_pmfs(np.array([opp.probs for opp in opponents]).reshape(-1, instance.sites))
-    return instance.profile.as_array() * (pmfs @ instance.policy.weights(instance.players))
-
-
 def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) -> float:
     """Expected payoff of ``focal`` against an explicit list of k-1 opponents.
 
@@ -387,7 +376,16 @@ def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) 
     opponents' selection probabilities.
     """
     _check(focal.size == instance.sites, "focal: strategy size must match the number of sites")
-    return float(focal.as_array() @ _site_payoffs(instance, opponents))
+    opponents = list(opponents)
+    _check(
+        len(opponents) == instance.players - 1,
+        f"opponents: expected {instance.players - 1} strategies, got {len(opponents)}",
+    )
+    for j, opp in enumerate(opponents):
+        _check(opp.size == instance.sites, f"opponents[{j}]: strategy size must match the number of sites")
+    pmfs = _collision_pmfs(np.array([opp.probs for opp in opponents]).reshape(-1, instance.sites))
+    payoffs = instance.profile.as_array() * (pmfs @ instance.policy.weights(instance.players))
+    return float(focal.as_array() @ payoffs)
 
 
 def coverage(profile: ValueProfile, players: int, strategy: Strategy) -> float:

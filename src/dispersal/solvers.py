@@ -195,7 +195,9 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     floor_weight = float(weights[-1])
     if f.size == 1 or f[1] <= floor_weight:
         return verify_ifd(instance, Strategy.point_mass(1, instance.sites))
-    response, slope = _bernstein(weights), _bernstein((players - 1) * np.diff(weights))
+    # Beside R, R' = (k-1) diff(C) in the degree k-2 basis, raised to R's degree k-1 (Farouki & Rajan 1987).
+    j, steps = np.arange(players), np.pad(np.diff(weights), 1)
+    kernel = _bernstein(np.column_stack((weights, j * steps[:-1] + (players - 1 - j) * steps[1:])))
 
     def site_probs(target: float, guess: np.ndarray, low: np.ndarray, high: np.ndarray):
         # Site x gets the p in [low, high] with f(x) R(p) = target, clamped to
@@ -205,20 +207,14 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         active = (f > target) & (f * floor_weight < target)
         fa, lo_p, hi_p = f[active], low[active], high[active]
         p, step = np.clip(guess[active], lo_p, hi_p), 1.0 if fa.size else 0.0
-        gradient = newton_slope = np.full(fa.size, np.nan)
+        gradient = np.full(fa.size, np.nan)
         while not step <= INNER_P_TOL:  # a NaN guess makes a NaN step, not a stop
-            excess = fa * response(p) - target
+            value, gradient = fa * kernel(p).T
+            excess = value - target
             lo_p, hi_p = np.where(excess >= 0.0, p, lo_p), np.where(excess <= 0.0, p, hi_p)
-            # Once the last Newton step's slope predicts a step within the
-            # tolerance, that step is taken without evaluating R' again.
-            if np.max(np.abs(excess / newton_slope)) <= INNER_P_TOL:
-                p = p - excess / newton_slope
-                break
-            gradient = fa * slope(p)
             newton = p - excess / gradient
             # A Newton point on a bracket end could cycle between the ends.
             inside = (lo_p < newton) & (newton < hi_p) | (newton == p)
-            newton_slope = np.where(inside, gradient, np.nan)
             new = np.where(inside, newton, 0.5 * (lo_p + hi_p))
             step, p = float(np.max(np.abs(new - p))), new
         probs[active], rate[active] = p, 1.0 / gradient

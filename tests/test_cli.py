@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dispersal import SolverError, Strategy, cli
 from dispersal.cli import main, round_distribution
+from dispersal.game import MAX_PLAYERS
 
 
 def write_instance(tmp_path, name="instance.json", **fields):
@@ -123,8 +124,8 @@ class TestSolve:
         Strategy(tuple(json.loads(out)["strategy"]))
 
     def test_many_players(self, tmp_path, capsys):
-        # The log-space kernel forms no binomial coefficient, so no policy
-        # has a limit on the number of players.
+        # The log-space kernel forms no binomial coefficient, so k = 1100
+        # solves, past where C(k-1, j) leaves the float range.
         values = [1.0, 0.5, 0.25]
         path = write_instance(tmp_path, values=values, players=1100)
         code, out, _ = run(capsys, ["solve", "--instance", path, "--mode", "sigma-star"])
@@ -493,6 +494,19 @@ class TestSolverSurface:
                 message = err.getvalue()
                 assert message.startswith("error: ") and message.endswith("}\n")
                 assert isinstance(json.loads(message[message.index("{") :]), dict)
+
+    @pytest.mark.parametrize("players", [MAX_PLAYERS + 1, 10**30])
+    def test_players_beyond_the_bound_exit_2(self, instance_dir, players):
+        # Rejected before any array of that length is made.
+        path = instance_dir / "crowded.json"
+        path.write_text(json.dumps({"values": [1.0, 0.5], "players": players, "policy": {"type": "sharing"}}))
+        for command in (*SOLVER_COMMANDS, ("solve", "--mode", "sigma-star"), ("ess-check", "--mutants", "3")):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command[0], "--instance", str(path), *command[1:]])
+            assert code == 2
+            assert out.getvalue() == ""
+            assert f"players: must be an integer in [2, {MAX_PLAYERS}], got {players}\n" in err.getvalue()
 
 
 class TestRoundDistribution:

@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import numpy as np
@@ -131,14 +132,16 @@ class TestEssCharacterization:
 
     def test_matches_two_dp_reference(self):
         # The equilibrium candidate ties with in-support mutants at m = 0,
-        # so the walk goes past the first mix.
+        # so the walk goes past the first mix. Every fifth game has up to 40
+        # players; the policies cycle exclusive, sharing, table.
         rng = np.random.default_rng(17)
         compared = walked = 0
-        for _ in range(30):
+        for i in range(45):
             sites = int(rng.integers(2, 7))
-            players = int(rng.integers(2, 9))
+            players = int(rng.integers(2, 41 if i % 5 == 0 else 9))
             profile = log_uniform_profile(rng, sites)
-            instance = GameInstance(profile, players, random_nonexclusive_table(rng, players))
+            policies = (CongestionPolicy.exclusive(), CongestionPolicy.sharing(), random_nonexclusive_table(rng, players))
+            instance = GameInstance(profile, players, policies[i % 3])
             candidate = solve_ifd(instance).strategy
             for mutant in mutant_generator(profile, players, seed=int(rng.integers(2**31)), count=sites + 4):
                 if np.max(np.abs(mutant.as_array() - candidate.as_array())) <= MIN_MUTANT_DISTANCE:
@@ -151,6 +154,29 @@ class TestEssCharacterization:
                 walked += len(margins) > 1
         assert compared >= 200
         assert walked >= 80
+
+    def test_many_players_under_sharing(self):
+        # Under sharing, E[1/(1+B)] and E[1/(2+B)] have closed forms for
+        # B ~ Bin(n, p), which give the margins at m = 0 and 1 without the
+        # kernel. A DP over the 1999 opponents took about 0.5 s per verdict.
+        profile = log_uniform_profile(np.random.default_rng(2020), 20)
+        players = 2000
+        instance = GameInstance(profile, players, CongestionPolicy.sharing())
+        candidate = solve_ifd(instance).strategy
+        sigma, f = candidate.as_array(), profile.as_array()
+        assert np.all(sigma > 0.0)
+        for mutant in mutant_generator(profile, players, seed=7, count=22)[19:]:
+            start = time.perf_counter()
+            verdict = ess_characterization(instance, candidate, mutant)
+            assert time.perf_counter() - start < 0.25
+            assert (verdict.passed, verdict.witness_m) == (True, 1)
+            mu, q = mutant.as_array(), 1.0 - sigma
+            alone = (1.0 - q**players) / (players * sigma)  # E[1/(1+B)], n = k-1
+            n = players - 2
+            first = (1.0 - q ** (n + 1)) / ((n + 1) * sigma)  # E[1/(1+B)], n = k-2
+            second = ((1.0 - q ** (n + 2)) / (n + 2) - q * (1.0 - q ** (n + 1)) / (n + 1)) / sigma**2
+            expected = [(sigma - mu) @ (f * alone), (sigma - mu) @ (f * ((1.0 - mu) * first + mu * second))]
+            assert verdict.margins == pytest.approx(expected, rel=0, abs=1e-13 * f[0])
 
     def test_identical_strategies_rejected(self):
         optimum = coverage_optimum(TWO_SITES, 2).strategy

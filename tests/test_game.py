@@ -27,7 +27,7 @@ from dispersal import (
     site_value,
     site_values,
 )
-from dispersal.game import _bernstein
+from dispersal.game import MAX_PLAYERS, _bernstein
 
 TWO_SITES = ValueProfile((1.0, 0.5))
 
@@ -144,6 +144,9 @@ INTEGER_ARGUMENTS = [
     case("coverage_optimum", "players", lambda v: coverage_optimum(TWO_SITES, v).strategy.probs, 2, (2 / 3, 1 / 3), 1),
     case("coverage_grid_oracle", "players", lambda v: coverage_grid_oracle(TWO_SITES, v, 0.5)[1], 2, 1.125, 0),
     case("GameInstance", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, 2, 2, 1),
+    case("GameInstance_max", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, MAX_PLAYERS,
+         MAX_PLAYERS, MAX_PLAYERS + 1),
+    case("GameInstance_huge", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, 2, 2, 10**30),
     case("weights", "players", lambda v: SHARING.weights(v).tolist(), 2, [1.0, 0.5], 0),
     case("congestion_response", "players", lambda v: congestion_response(SHARING, v, [1.0]).tolist(), 2, [0.5], 0),
     case("closed_forms", "players", lambda v: closed_forms(3, players=v), 3, closed_forms_direct(3, 1), 2),
@@ -310,6 +313,21 @@ class TestSiteValue:
                 assert congestion_response(policy, players, ps) == pytest.approx(power, rel=1e-12, abs=1e-15)
                 central = (congestion_response(policy, players, inner + h) - congestion_response(policy, players, inner - h)) / (2 * h)
                 assert _bernstein((players - 1) * np.diff(w))(inner) == pytest.approx(central, rel=1e-6, abs=1e-9)
+
+    def test_matrix_columns_match_vector_evaluations(self):
+        # Row 2 is zero in every column and is skipped; column 1 is all zero.
+        ps = np.array([0.0, 1e-300, 1e-3, 0.2, 0.5, 0.9, 1.0])
+        small = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0],
+                          [0.2, 0.0, 1.0], [0.1, 0.0, 0.0], [0.0, 0.0, 3.0]])
+        for players in (40, 2000):
+            weights = [CongestionPolicy(kind).weights(players) for kind in ("sharing", "exclusive")]
+            large = np.column_stack((*weights, np.linspace(1.0, 0.5, players)))
+            for coeffs in (small, large):
+                columns = _bernstein(coeffs)(ps)
+                assert columns.shape == (ps.size, 3)
+                for i in range(3):
+                    expected = _bernstein(coeffs[:, i])(ps)
+                    assert columns[:, i] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_non_increasing_for_flat_then_dropping_policy(self):
         instance = GameInstance(ValueProfile((1.0, 0.8)), 3, CongestionPolicy.from_table((1.0, 1.0, 0.0)))

@@ -128,7 +128,7 @@ class TestVerifyIfd:
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts the calls of every evaluator ``solvers._bernstein`` returns, R and R' alike."""
+    """Counts the calls of every evaluator ``solvers._bernstein`` returns; one call gives R and R'."""
     count = [0]
     bernstein = solvers._bernstein
 
@@ -206,8 +206,8 @@ class TestSolveIfd:
         assert first.strategy.probs == second.strategy.probs
 
     def test_kernel_evaluations_per_solve(self, evaluations):
-        # Every evaluation of R or R' goes through the one Bernstein
-        # evaluator; the nested bisection took a median of about 830.
+        # Each Newton step takes R and R' from one Bernstein evaluation, a
+        # median of 21.5 here; the nested bisection took about 830.
         rng = np.random.default_rng(57)
         per_solve = []
         for i in range(40):
@@ -217,7 +217,7 @@ class TestSolveIfd:
             evaluations[0] = 0
             solve_ifd(GameInstance(log_uniform_profile(rng, sites), players, policies[i % 3]))
             per_solve.append(evaluations[0])
-        assert np.median(per_solve) <= 60
+        assert np.median(per_solve) <= 24
 
     def test_residuals_stay_within_solver_tolerance(self):
         rng = np.random.default_rng(55)
@@ -231,12 +231,35 @@ class TestSolveIfd:
     def test_outer_newton_does_not_cycle(self, evaluations):
         # Without the step-halving test, outer Newton steps on this
         # instance alternate between two points inside the bracket and
-        # take 8335 kernel evaluations to close it; with it, 57.
+        # take 8335 kernel evaluations to close it; with it, 32.
         table = CongestionPolicy.from_table((1.0, 0.4, 0.2, 0.1, -2.4, -3.0, -3.7))
         instance = GameInstance(ValueProfile((0.2, 0.3, 0.4, 0.2, 0.4, 0.3)), 7, table)
         report = solve_ifd(instance)
         assert evaluations[0] <= 200
         assert np.max(np.abs(report.strategy.as_array() - nested_bisection_ifd(instance))) <= 1e-9
+
+    @pytest.mark.parametrize("players", [2, 3, 8, 40, 300, 2000])
+    def test_derivative_column_is_the_elevated_bernstein_derivative(self, monkeypatch, players):
+        # R' is k-1 times the degree k-2 Bernstein form of diff(C); the
+        # solver evaluates it raised to degree k-1, next to R. The two sides
+        # take log C(n, j) from lgamma values of size k ln k, so they agree
+        # to about k ln k ulps, which is below 1e-13 up to k = 100.
+        matrices = []
+        monkeypatch.setattr(solvers, "_bernstein", lambda coeffs: matrices.append(coeffs) or _bernstein(coeffs))
+        rng = np.random.default_rng(players)
+        profile = log_uniform_profile(rng, 20)
+        tail = np.sort(rng.uniform(-0.5, 0.9, players - 1))[::-1]
+        ps = np.array([0.0, 1e-300, 0.5, 1.0])
+        tolerance = max(1e-13, 2 * players * math.log(players) * np.finfo(float).eps)
+        table = CongestionPolicy.from_table([1.0, *tail])
+        for policy in (CongestionPolicy.exclusive(), CongestionPolicy.sharing(), table):
+            matrices.clear()
+            solve_ifd(GameInstance(profile, players, policy))
+            (coeffs,) = matrices
+            weights = policy.weights(players)
+            value, derivative = _bernstein(coeffs)(ps).T
+            assert value == pytest.approx(_bernstein(weights)(ps), rel=1e-15, abs=0.0)
+            assert derivative == pytest.approx(_bernstein((players - 1) * np.diff(weights))(ps), rel=tolerance, abs=0.0)
 
     @pytest.mark.parametrize(
         "sites, players, kind",
