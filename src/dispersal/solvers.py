@@ -30,10 +30,9 @@ from .game import (
 
 # Newton settings: steps in a site's probability below 1e-12 end the inner
 # loop; a sum within 1e-14 of one, or a bracket on the common value (over
-# value(1) = 1) within 1e-15 of it, which can be 1e-46, ends the outer one.
+# value(1) = 1) with no float inside, its midpoint an end, ends the outer one.
 INNER_P_TOL = 1e-12
 SUM_TOL = 1e-14
-OUTER_REL_TOL = 1e-15
 
 IFD_RESIDUAL_TOL = 1e-8
 
@@ -119,10 +118,7 @@ def coverage_optimum(profile: ValueProfile, players: int) -> CoverageOptimum:
     # scan[y-1] = sum_{x <= y} (1 - (f(y)/f(x)) ** exponent), non-decreasing in y
     scan = np.arange(1, m + 1) - root * cum_inv
     support = int(np.nonzero(scan <= 1.0 + 1e-12)[0][-1]) + 1
-    if support == 1:
-        alpha = 0.0
-    else:
-        alpha = (support - 1) / float(cum_inv[support - 1])
+    alpha = (support - 1) / float(cum_inv[support - 1])
     probs = np.zeros(m)
     probs[:support] = 1.0 - alpha * inv_root[:support]
     probs[probs < SUPPORT_EPS] = 0.0
@@ -154,18 +150,13 @@ def verify_ifd(instance: GameInstance, strategy: Strategy, tolerance: float = IF
     common = float(np.mean(inside))
     residual_equal = float(np.max(inside) - np.min(inside))
     outside = values[~supported]
-    if outside.size:
-        residual_outside = max(0.0, float(np.max(outside)) - common)
-        boundary = bool(np.any(np.abs(outside - common) <= tolerance))
-    else:
-        residual_outside = 0.0
-        boundary = False
+    residual_outside = max(0.0, float(np.max(outside, initial=-np.inf)) - common)
     return EquilibriumReport(
         strategy=strategy,
         support_size=n_support,
         common_value=common,
         residual=max(residual_equal, residual_outside),
-        boundary_flag=boundary,
+        boundary_flag=bool(np.any(np.abs(outside - common) <= tolerance)),
         tolerance=tolerance,
         site_values=tuple(values.tolist()),
         support_is_prefix=support_is_prefix,
@@ -180,9 +171,11 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     the site probabilities sum to one; the inner loop solves each site's
     probability from a tangent prediction, between those found at the two
     ends of the outer bracket. A Newton step that would leave its bracket
-    is replaced by a bisection step. The strategy is re-checked by
-    ``verify_ifd`` and must come back with residual <= 1e-8 * value(1),
-    otherwise a ``SolverError`` carrying diagnostics is raised.
+    is replaced by a bisection step. If the bracket runs out before the
+    sum is one, a tangent step from its low end finishes the strategy, or,
+    below the normal float range, a ``SolverError`` is raised. The strategy
+    is re-checked by ``verify_ifd`` and must come back with residual <=
+    1e-8 * value(1), otherwise a ``SolverError`` carrying diagnostics is raised.
 
     When value(2) / value(1) <= C(players), as under any constant policy, a
     full collision at the first site pays at least a solo visit to the
@@ -221,26 +214,33 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         return probs, rate
 
     lo, hi, nu, guess = floor_weight, 1.0, 0.5 * (floor_weight + 1.0), np.zeros(f.size)
-    probs_lo, probs_hi = np.ones(f.size), np.zeros(f.size)
+    at_lo, probs_hi = (np.ones(f.size), np.nan, np.zeros(f.size)), np.zeros(f.size)
     step = before = hi - lo
     # R' < 0 inside (0, 1) but can underflow to 0; the inf or NaN a Newton
     # step then makes fails its bracket test, which bisects instead.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
-            probs, rate = site_probs(nu, guess, probs_hi, probs_lo)
+            probs, rate = site_probs(nu, guess, probs_hi, at_lo[0])
             excess = probs.sum() - 1.0
             if excess >= 0.0:
-                lo, probs_lo = nu, probs
+                lo, at_lo = nu, (probs, excess, rate)
             else:
                 hi, probs_hi = nu, probs
-            if abs(excess) <= SUM_TOL or hi - lo <= OUTER_REL_TOL * abs(hi):
+            middle = 0.5 * (lo + hi)
+            if abs(excess) <= SUM_TOL or not lo < middle < hi:
                 break
             # A Newton step must also halve the step before last, so that it
             # cannot cycle between two points inside the bracket.
             newton = nu - excess / rate.sum()
             ok = lo < newton < hi and abs(newton - nu) < 0.5 * abs(before)
-            before, step = step, (newton if ok else 0.5 * (lo + hi)) - nu
+            before, step = step, (newton if ok else middle) - nu
             nu, guess = nu + step, probs + step * rate
+        if not abs(excess) <= SUM_TOL:
+            if hi < np.finfo(float).tiny:
+                raise SolverError("common value below the float range", value=hi * top)
+            # Sites whose values barely move with their probabilities take up the sum's error.
+            probs, excess, rate = at_lo
+            probs = probs - excess * rate / rate.sum()
 
     probs[probs < SUPPORT_EPS] = 0.0
     total = probs.sum()
@@ -286,8 +286,7 @@ def _allocate_units(gain: np.ndarray) -> np.ndarray:
             picks[s, t] = c
             new_best[t] = cand[c]
         best = new_best
-    if m > 1:
-        picks[m - 1, width - 1] = np.argmax(gain[m - 1] + best[::-1])
+    picks[m - 1, width - 1] = np.argmax(gain[m - 1] + best[::-1])
 
     counts = np.zeros(m, dtype=np.int64)
     remaining = width - 1

@@ -1,5 +1,10 @@
 """Shared generators for randomized-instance tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 
@@ -33,3 +38,10 @@ def random_nonexclusive_table(rng, players):
     for _ in range(players - 2):
         entries.append(entries[-1] - float(rng.uniform(0.0, 0.3)))
     return CongestionPolicy.from_table(entries[:players])
+
+
+def run_isolated(*args):
+    """Runs ``python -W error *args`` on this package with a 60 s timeout, so
+    that a solve that never returns fails its test instead of hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True, text=True, timeout=60, env=env)

@@ -1,12 +1,14 @@
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_isolated
 from dispersal import SolverError, Strategy, cli
 from dispersal.cli import main, round_distribution
 from dispersal.game import MAX_PLAYERS
@@ -190,6 +192,38 @@ class TestSpoa:
             assert code == 0
             assert float(out.strip()) <= 2.0
 
+    @pytest.mark.parametrize(
+        "values, players, table, expected",
+        [
+            ([1.0, 0.1], 8, [1.0] * 7 + [0.0], "1.085437947"),
+            ([1.0, 1e-6, 1e-12], 4, [1.0, 1.0, 1.0, 0.0], "1.000000029"),
+        ],
+    )
+    def test_flat_start_tables(self, tmp_path, capsys, values, players, table, expected):
+        # C(2) = C(1): the bracket on the common value runs out before the
+        # sum test holds, and a tangent step from its low end finishes.
+        path = write_instance(tmp_path, values=values, players=players, policy={"type": "table", "table": table})
+        code, out, _ = run(capsys, ["spoa", "--instance", path])
+        assert code == 0
+        assert out.strip() == expected
+
+    @pytest.mark.parametrize(
+        "values, players, expected",
+        [([1.0, 0.95], 2000, 3), ([1.0, 0.999999], 2000, 3), ([1.0, 0.5], 1500, 3), ([1.0, 0.5], 1000, 0)],
+    )
+    def test_exclusive_crowds_end(self, tmp_path, values, players, expected):
+        # The common value is about 0.5^(k-1); from k = 1040 on, the bracket
+        # runs out below the normal float range, which exits 3.
+        path = write_instance(tmp_path, values=values, players=players)
+        result = run_isolated("-m", "dispersal.cli", "spoa", "--instance", path)
+        assert result.returncode == expected
+        if expected == 3:
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: common value below the float range {")
+            assert 0.0 <= json.loads(result.stderr[result.stderr.index("{") :])["value"] < sys.float_info.min
+        else:
+            assert float(result.stdout) == 1.0
+
 
 class TestEssCheck:
     def test_exclusive_instance_all_pass(self, tmp_path, capsys):
@@ -217,6 +251,21 @@ class TestEssCheck:
         _, first, _ = run(capsys, ["ess-check", "--instance", path, "--mutants", "25", "--seed", "3"])
         _, second, _ = run(capsys, ["ess-check", "--instance", path, "--mutants", "25", "--seed", "3"])
         assert first == second
+
+    def test_failures_are_listed(self, tmp_path, capsys):
+        # Under a constant policy on tied values every strategy pays the
+        # same, so no mix gives a strict win and every checked mutant fails.
+        path = write_instance(tmp_path, values=[1.0, 1.0], players=3, policy={"type": "table", "table": [1.0, 1.0, 1.0]})
+        code, out, _ = run(capsys, ["ess-check", "--instance", path, "--mutants", "4", "--seed", "1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["checked"], payload["passed"], payload["failed"], payload["skipped"]) == (3, 0, 3, 1)
+        assert payload["all_passed"] is False
+        assert [failure["mutant_index"] for failure in payload["failures"]] == [1, 2, 3]
+        for failure in payload["failures"]:
+            assert sorted(failure) == ["margins", "mutant", "mutant_index"]
+            assert failure["margins"] == [0.0, 0.0, 0.0]
+            Strategy(tuple(failure["mutant"]))
 
     def test_non_exclusive_reports_without_requirement(self, tmp_path, capsys):
         path = write_instance(tmp_path, policy={"type": "sharing"})
@@ -280,6 +329,15 @@ class TestSweep:
              "--steps", "5", "--out", str(tmp_path / "x.csv")],
         )
         assert code == 2
+
+    def test_reversed_range_is_rejected(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            ["sweep", "--f2", "0.5", "--c-min", "0.4", "--c-max", "0.2",
+             "--steps", "5", "--out", str(tmp_path / "x.csv")],
+        )
+        assert code == 2
+        assert err == "error: --c-max: must be >= --c-min\n"
 
     def test_f2_must_be_positive(self, capsys, tmp_path):
         code, _, _ = run(
@@ -452,15 +510,16 @@ class TestValidationSurface:
 def valid_instances(draw):
     """A valid instance file: 1-8 values from 1e-30 to 1e30, ties included,
     k 2-60, and exclusive, sharing or a steep non-increasing table that may
-    turn negative."""
+    turn negative, which may also start flat: C(1..j) = 1 for a j < k."""
     magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-30, 29))
     values = draw(st.lists(magnitudes, min_size=1, max_size=6))
     values += draw(st.lists(st.sampled_from(values), max_size=8 - len(values)))
     players = draw(st.integers(2, 60))
     policy = {"type": draw(st.sampled_from(["exclusive", "sharing", "table"]))}
     if policy["type"] == "table":
-        policy["table"] = [1.0]
-        for drop in draw(st.lists(st.floats(0.0, 10.0), min_size=players - 1, max_size=players - 1)):
+        flat = draw(st.integers(1, players - 1)) if draw(st.booleans()) else 1
+        policy["table"] = [1.0] * flat
+        for drop in draw(st.lists(st.floats(0.0, 10.0), min_size=players - flat, max_size=players - flat)):
             policy["table"].append(policy["table"][-1] - drop)
     return {"values": draw(st.permutations(values)), "players": players, "policy": policy}
 

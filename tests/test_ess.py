@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import log_uniform_profile, random_nonexclusive_table, random_strategy
 
@@ -133,27 +133,45 @@ class TestEssCharacterization:
     def test_matches_two_dp_reference(self):
         # The equilibrium candidate ties with in-support mutants at m = 0,
         # so the walk goes past the first mix. Every fifth game has up to 40
-        # players; the policies cycle exclusive, sharing, table.
+        # players; the policies cycle exclusive, sharing, table. Every fourth
+        # game also has a random candidate, which mutants beat by a strict
+        # margin.
         rng = np.random.default_rng(17)
-        compared = walked = 0
+        strangers = np.random.default_rng(18)
+        compared = walked = lost = 0
         for i in range(45):
             sites = int(rng.integers(2, 7))
             players = int(rng.integers(2, 41 if i % 5 == 0 else 9))
             profile = log_uniform_profile(rng, sites)
             policies = (CongestionPolicy.exclusive(), CongestionPolicy.sharing(), random_nonexclusive_table(rng, players))
             instance = GameInstance(profile, players, policies[i % 3])
-            candidate = solve_ifd(instance).strategy
+            candidates = [solve_ifd(instance).strategy]
+            if i % 4 == 0:
+                candidates.append(random_strategy(strangers, sites))
             for mutant in mutant_generator(profile, players, seed=int(rng.integers(2**31)), count=sites + 4):
-                if np.max(np.abs(mutant.as_array() - candidate.as_array())) <= MIN_MUTANT_DISTANCE:
-                    continue
-                verdict = ess_characterization(instance, candidate, mutant)
-                passed, witness_m, margins = two_dp_verdict(instance, candidate, mutant)
-                assert (verdict.passed, verdict.witness_m) == (passed, witness_m)
-                assert verdict.margins == pytest.approx(margins, rel=0, abs=1e-12 * profile.values[0])
-                compared += 1
-                walked += len(margins) > 1
+                for candidate in candidates:
+                    if np.max(np.abs(mutant.as_array() - candidate.as_array())) <= MIN_MUTANT_DISTANCE:
+                        continue
+                    verdict = ess_characterization(instance, candidate, mutant)
+                    passed, witness_m, margins = two_dp_verdict(instance, candidate, mutant)
+                    assert (verdict.passed, verdict.witness_m) == (passed, witness_m)
+                    assert verdict.margins == pytest.approx(margins, rel=0, abs=1e-12 * profile.values[0])
+                    compared += 1
+                    walked += len(margins) > 1
+                    lost += margins[-1] < -EQUALITY_TOL
         assert compared >= 200
         assert walked >= 80
+        assert lost >= 40
+
+    def test_no_strict_win_by_the_last_mix_fails(self):
+        # Under a constant policy on tied values every strategy pays the
+        # same against every mix: k zero margins and no witness.
+        instance = GameInstance(ValueProfile((1.0, 1.0)), 3, CongestionPolicy.from_table((1.0, 1.0, 1.0)))
+        candidate = solve_ifd(instance).strategy
+        for mutant in (Strategy((0.0, 1.0)), Strategy((0.3, 0.7))):
+            verdict = ess_characterization(instance, candidate, mutant)
+            assert (verdict.passed, verdict.witness_m) == (False, None) == two_dp_verdict(instance, candidate, mutant)[:2]
+            assert verdict.margins == pytest.approx((0.0, 0.0, 0.0), rel=0, abs=1e-15)
 
     def test_many_players_under_sharing(self):
         # Under sharing, E[1/(1+B)] and E[1/(2+B)] have closed forms for
@@ -224,6 +242,56 @@ class TestEssCharacterization:
         optimum = coverage_optimum(profile, players).strategy
         for mutant in mutant_generator(profile, players, seed=seed, count=20):
             assert ess_characterization(exclusive(profile, players), optimum, mutant).passed
+
+
+@st.composite
+def tied_games(draw):
+    """1-4 distinct values from 0.05 to 1, each on 1-3 sites, scaled by 10^s
+    for s in -12..12; k 2-8 and exclusive, sharing or a non-increasing table
+    that may turn negative; a seed; and a relabelling of the sites that only
+    permutes sites of equal value."""
+    distinct = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(distinct), max_size=len(distinct)))
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    profile = ValueProfile(tuple(v * scale for v, n in zip(distinct, counts) for _ in range(n)))
+    players = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["exclusive", "sharing", "table"]))
+    if kind == "table":
+        table = [1.0]
+        for drop in draw(st.lists(st.floats(0.0, 0.5), min_size=players - 1, max_size=players - 1)):
+            table.append(table[-1] - drop)
+        policy = CongestionPolicy.from_table(table)
+    else:
+        policy = CongestionPolicy(kind)
+    # The profile lists its values in descending order, so tied sites are adjacent.
+    f = profile.as_array()
+    relabel = []
+    for value in np.unique(f)[::-1]:
+        relabel += draw(st.permutations(np.flatnonzero(f == value).tolist()))
+    return GameInstance(profile, players, policy), draw(st.integers(0, 2**31 - 1)), relabel
+
+
+class TestPermutationInvariance:
+    @settings(max_examples=150)
+    @given(case=tied_games())
+    def test_relabelling_tied_sites_keeps_the_verdict(self, case):
+        # Sites of equal value are interchangeable, so relabelling them in
+        # both strategies only reorders the sums behind each margin.
+        instance, seed, relabel = case
+        rng = np.random.default_rng(seed)
+        sites = instance.sites
+        candidates = (solve_ifd(instance).strategy, random_strategy(rng, sites))
+        mutants = mutant_generator(instance.profile, instance.players, seed, sites + 2) + [random_strategy(rng, sites)]
+        for candidate in candidates:
+            for mutant in mutants:
+                if np.max(np.abs(mutant.as_array() - candidate.as_array())) <= MIN_MUTANT_DISTANCE:
+                    continue
+                verdict = ess_characterization(instance, candidate, mutant)
+                moved = (Strategy.from_array(s.as_array()[relabel]) for s in (candidate, mutant))
+                relabelled = ess_characterization(instance, *moved)
+                assert (relabelled.passed, relabelled.witness_m) == (verdict.passed, verdict.witness_m)
+                tolerance = 1e-15 * instance.profile.values[0]
+                assert relabelled.margins == pytest.approx(verdict.margins, rel=0, abs=tolerance)
 
 
 class TestClosedForms:
