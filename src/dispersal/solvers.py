@@ -12,7 +12,7 @@ compares equilibrium coverage against the optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,7 +77,8 @@ class EquilibriumReport:
     site beats the common value. ``boundary_flag`` marks unsupported sites
     whose value ties the common value within tolerance, where the strict
     outside-support inequality degenerates. Values, ``residual`` and
-    ``tolerance`` are in the units of the site values.
+    ``tolerance`` are in the units of the site values. Equality ignores
+    ``iterations`` and ``evaluations``, a solve's outer and Newton steps.
     """
 
     strategy: Strategy
@@ -88,6 +89,8 @@ class EquilibriumReport:
     tolerance: float
     site_values: tuple[float, ...]
     support_is_prefix: bool
+    iterations: int = field(default=0, compare=False)
+    evaluations: int = field(default=0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -102,25 +105,24 @@ class WelfareOptimum:
     payoff: float
 
 
-def coverage_optimum(profile: ValueProfile, players: int) -> CoverageOptimum:
-    """Closed-form coverage-maximizing strategy for ``players`` dispersers.
-
-    The support is the largest prefix of sites over which the Pareto shape
-    stays a probability vector; the normalizer then makes it sum to one.
-    """
-    _count(players, "players", 2)
-    f = profile.as_array()
-    m = profile.size
-    exponent = 1.0 / (players - 1)
+def _pareto(f: np.ndarray, exponent: float) -> tuple[np.ndarray, float]:
+    """Pareto shape 1 - normalizer * f ** -exponent on the largest prefix where it is a distribution, 0 beyond, and its normalizer."""
     root = f**exponent
     inv_root = 1.0 / root
     cum_inv = np.cumsum(inv_root)
     # scan[y-1] = sum_{x <= y} (1 - (f(y)/f(x)) ** exponent), non-decreasing in y
-    scan = np.arange(1, m + 1) - root * cum_inv
+    scan = np.arange(1, f.size + 1) - root * cum_inv
     support = int(np.nonzero(scan <= 1.0 + 1e-12)[0][-1]) + 1
     alpha = (support - 1) / float(cum_inv[support - 1])
-    probs = np.zeros(m)
+    probs = np.zeros(f.size)
     probs[:support] = 1.0 - alpha * inv_root[:support]
+    return probs, alpha
+
+
+def coverage_optimum(profile: ValueProfile, players: int) -> CoverageOptimum:
+    """Closed-form coverage-maximizing strategy for ``players`` dispersers: the Pareto shape of exponent 1 / (players - 1)."""
+    _count(players, "players", 2)
+    probs, alpha = _pareto(profile.as_array(), 1.0 / (players - 1))
     probs[probs < SUPPORT_EPS] = 0.0
     probs /= probs.sum()
     strategy = Strategy.from_array(probs)
@@ -170,12 +172,16 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     values over value(1) so that no result depends on their unit, at which
     the site probabilities sum to one; the inner loop solves each site's
     probability from a tangent prediction, between those found at the two
-    ends of the outer bracket. A Newton step that would leave its bracket
-    is replaced by a bisection step. If the bracket runs out before the
-    sum is one, a tangent step from its low end finishes the strategy, or,
-    below the normal float range, a ``SolverError`` is raised. The strategy
-    is re-checked by ``verify_ifd`` and must come back with residual <=
-    1e-8 * value(1), otherwise a ``SolverError`` carrying diagnostics is raised.
+    ends of the outer bracket. A Newton step that would leave its bracket is
+    replaced by a bisection step. The loop starts from the Pareto shape
+    fitted to R(p) ~ (1 - p)^d, d = -R'(0), which is exact under the
+    exclusive policy, or, if d <= 0 or that start is not a normal float
+    inside the bracket, from its midpoint. If the bracket runs out before
+    the sum is one, a tangent step from its low end finishes the strategy,
+    or, below the normal float range, a ``SolverError`` is raised. The
+    strategy is re-checked by ``verify_ifd`` and must come back with
+    residual <= 1e-8 * value(1), otherwise a ``SolverError`` carrying
+    diagnostics is raised.
 
     When value(2) / value(1) <= C(players), as under any constant policy, a
     full collision at the first site pays at least a solo visit to the
@@ -196,12 +202,14 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         # Site x gets the p in [low, high] with f(x) R(p) = target, clamped to
         # 0 where even a sure solo visit is worth at most target and to 1
         # where a sure full collision still beats it; rate is dp/dnu there.
+        nonlocal evaluations
         probs, rate = (f * floor_weight >= target).astype(float), np.zeros(f.size)
         active = (f > target) & (f * floor_weight < target)
         fa, lo_p, hi_p = f[active], low[active], high[active]
         p, step = np.clip(guess[active], lo_p, hi_p), 1.0 if fa.size else 0.0
         gradient = np.full(fa.size, np.nan)
         while not step <= INNER_P_TOL:  # a NaN guess makes a NaN step, not a stop
+            evaluations += 1
             value, gradient = fa * kernel(p).T
             excess = value - target
             lo_p, hi_p = np.where(excess >= 0.0, p, lo_p), np.where(excess <= 0.0, p, hi_p)
@@ -213,14 +221,21 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         probs[active], rate[active] = p, 1.0 / gradient
         return probs, rate
 
-    lo, hi, nu, guess = floor_weight, 1.0, 0.5 * (floor_weight + 1.0), np.zeros(f.size)
+    lo, hi, iterations, evaluations = floor_weight, 1.0, 0, 0
     at_lo, probs_hi = (np.ones(f.size), np.nan, np.zeros(f.size)), np.zeros(f.size)
     step = before = hi - lo
     # R' < 0 inside (0, 1) but can underflow to 0; the inf or NaN a Newton
     # step then makes fails its bracket test, which bisects instead.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # -R'(0) = (k-1)(C(1) - C(2)), so (1 - p)^d matches R at 0 in value and slope.
+        d = (players - 1) * (1.0 - weights[1])
+        guess, alpha = _pareto(f, 1.0 / d) if d > 0 else (None, 0.0)
+        nu = alpha**d
+        if not (lo < nu < hi and nu >= np.finfo(float).tiny):
+            nu, guess = 0.5 * (lo + hi), np.zeros(f.size)
         while True:
             probs, rate = site_probs(nu, guess, probs_hi, at_lo[0])
+            iterations += 1
             excess = probs.sum() - 1.0
             if excess >= 0.0:
                 lo, at_lo = nu, (probs, excess, rate)
@@ -255,7 +270,7 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
             common_value=report.common_value,
             value=nu * top,
         )
-    return report
+    return replace(report, iterations=iterations, evaluations=evaluations)
 
 
 def symmetric_payoff(instance: GameInstance, strategy: Strategy) -> float:

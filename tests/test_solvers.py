@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import log_uniform_profile, random_nonexclusive_table
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dispersal import (
@@ -207,8 +207,10 @@ class TestSolveIfd:
         assert first.strategy.probs == second.strategy.probs
 
     def test_kernel_evaluations_per_solve(self, evaluations):
-        # Each Newton step takes R and R' from one Bernstein evaluation, a
-        # median of 21.5 here; the nested bisection took about 830.
+        # Each Newton step takes R and R' from one Bernstein evaluation. From
+        # the Pareto start, a median of 10 here (an exclusive solve takes 1);
+        # from the bracket midpoint it was 21.5, and the nested bisection
+        # took about 830.
         rng = np.random.default_rng(57)
         per_solve = []
         for i in range(40):
@@ -218,7 +220,25 @@ class TestSolveIfd:
             evaluations[0] = 0
             solve_ifd(GameInstance(log_uniform_profile(rng, sites), players, policies[i % 3]))
             per_solve.append(evaluations[0])
-        assert np.median(per_solve) <= 24
+        assert np.median(per_solve) <= 12
+
+    @pytest.mark.parametrize(
+        "values, players, policy",
+        [
+            ((1.0, 0.8, 0.3), 5, CongestionPolicy.exclusive()),
+            ((1.0, 0.8, 0.3), 5, CongestionPolicy.sharing()),
+            ((1.0, 0.9, 0.5, 0.2), 4, CongestionPolicy.from_table((1.0, 0.6, 0.5, -0.2))),
+            ((1.0, 0.1), 8, CongestionPolicy.from_table((1.0,) * 7 + (0.0,))),  # flat start: from the midpoint
+        ],
+    )
+    def test_report_counts_its_work(self, evaluations, values, players, policy):
+        instance = GameInstance(ValueProfile(values), players, policy)
+        report = solve_ifd(instance)
+        assert report.evaluations == evaluations[0] >= report.iterations >= 1
+        # The counts are not part of the report's value, and a check alone does no solve.
+        checked = verify_ifd(instance, report.strategy)
+        assert (checked.iterations, checked.evaluations) == (0, 0)
+        assert checked == report
 
     def test_residuals_stay_within_solver_tolerance(self):
         rng = np.random.default_rng(55)
@@ -402,9 +422,42 @@ def small_instances(draw):
     return GameInstance(ValueProfile(values), players, policy)
 
 
+class TestParetoStart:
+    """The outer loop starts from the Pareto shape with exponent 1 / d, d =
+    -R'(0), which is the exclusive policy's equilibrium itself."""
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        values=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=20),
+        players=st.integers(2, 8),
+        scale=st.integers(-12, 12),
+    )
+    def test_exclusive_solve_takes_one_evaluation(self, evaluations, values, players, scale):
+        profile = ValueProfile(tuple(v * 10.0**scale for v in values))
+        evaluations[0] = 0
+        report = solve_ifd(exclusive(profile, players))
+        assert evaluations[0] == 1
+        optimum = coverage_optimum(profile, players).strategy.as_array()
+        assert np.max(np.abs(report.strategy.as_array() - optimum)) <= 1e-12
+
+    @pytest.mark.parametrize("players, raises", [(1039, False), (1040, True), (1041, True), (1050, True), (1067, True)])
+    def test_subnormal_start_keeps_the_bracket_decision(self, players, raises):
+        # The common value is about 0.5^(k-1): a start there would be below
+        # the normal float range, so the solve starts at the midpoint and
+        # solves or raises as its bracket decides.
+        instance = exclusive(TWO_SITES, players)
+        if raises:
+            with pytest.raises(SolverError, match="common value below the float range"):
+                solve_ifd(instance)
+        else:
+            assert solve_ifd(instance).passed
+
+
 class TestNewtonAgreesWithBisection:
     @settings(max_examples=100)
     @given(instance=small_instances())
+    # d = 1e-10: the start's exponent 1 / d sends f ** (1 / d) to 0 without a warning.
+    @example(instance=GameInstance(ValueProfile((1.0, 1.0, 0.5)), 2, CongestionPolicy.from_table((1.0, 0.9999999999))))
     def test_same_equilibrium(self, instance):
         expected = nested_bisection_ifd(instance)
         assert np.max(np.abs(solve_ifd(instance).strategy.as_array() - expected)) <= 1e-9
