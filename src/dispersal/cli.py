@@ -4,8 +4,9 @@ Subcommands: ``solve`` (closed-form optimum, equilibrium, or welfare
 optimum for an instance file), ``spoa`` (symmetric price of anarchy),
 ``ess-check`` (batch stability verification against generated mutants),
 ``sweep`` (two-site competition sweep emitted as CSV plot data), and
-``simulate`` (seeded Monte Carlo run). Exit codes: 0 success, 2
-validation error, 3 solver non-convergence with JSON diagnostics.
+``simulate`` (seeded Monte Carlo run). Exit codes: 0 success, 1 a mutant
+invades the exclusive optimum in ``ess-check``, 2 validation error, 3
+solver non-convergence with JSON diagnostics.
 
 Numeric output is fixed at 9 decimal places so repeated runs diff clean.
 """

@@ -28,8 +28,8 @@ from .solvers import coverage_optimum
 
 # Payoff differences inside this band count as the exact ties the
 # characterization demands; a difference must clear the strict margin to
-# count as a win. Both scale with f(1); the margin sits below the band so
-# that genuine strictness is separated from float noise.
+# count as a win. Both scale by the instance's payoff_scale; the margin sits
+# below the band so that genuine strictness is separated from float noise.
 EQUALITY_TOL = 1e-10
 STRICT_MARGIN = 1e-12
 
@@ -81,8 +81,8 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
     """Ordered stability check of ``candidate`` against one ``mutant``.
 
     Walks the number of mutant opponents m upward. The verdict passes at
-    the first m where the candidate's payoff strictly exceeds the
-    mutant's, provided the two tied (within ``EQUALITY_TOL`` * f(1)) at
+    the first m where the candidate's payoff strictly exceeds the mutant's,
+    provided the two tied (within ``EQUALITY_TOL`` * ``payoff_scale``) at
     every smaller m. It fails if a mix strictly favors the mutant or if no
     strict win appears by m = k - 1. Margins are (candidate - mutant) . v,
     v being the mix's site payoffs, from two Bernstein evaluations per mix.
@@ -94,7 +94,7 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
         f"mutant: must differ from the candidate by more than {MIN_MUTANT_DISTANCE} in max-norm",
     )
     k, f = instance.players, instance.profile.as_array()
-    scale, weights = f[0], instance.policy.weights(k)
+    scale, weights = instance.payoff_scale, instance.policy.weights(k)
     margins: list[float] = []
     for m in range(k):
         # With Y ~ Bin(m, mutant(x)) and B ~ Bin(k-m-1, candidate(x)), site x pays value(x) *

@@ -243,6 +243,11 @@ class GameInstance:
     def sites(self) -> int:
         return self.profile.size
 
+    @property
+    def payoff_scale(self) -> float:
+        """f(1) * max(1, -C(players)), the largest payoff magnitude a player can receive; tolerances scale by it."""
+        return self.profile.values[0] * max(1.0, -self.policy.at(self.players))
+
 
 @dataclass(frozen=True)
 class CollisionDistribution:

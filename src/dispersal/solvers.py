@@ -134,15 +134,15 @@ def coverage_optimum(profile: ValueProfile, players: int) -> CoverageOptimum:
     )
 
 
-def verify_ifd(instance: GameInstance, strategy: Strategy, tolerance: float = IFD_RESIDUAL_TOL) -> EquilibriumReport:
+def verify_ifd(instance: GameInstance, strategy: Strategy) -> EquilibriumReport:
     """Check the equilibrium conditions for ``strategy`` and report violations.
 
     Supported sites must share a common expected value and every
     unsupported site must fall strictly below it. Violations are reported
-    through ``residual``, never raised. ``tolerance`` is relative to
-    value(1), so the verdict does not depend on the unit of the values.
+    through ``residual``, never raised, against ``IFD_RESIDUAL_TOL`` times
+    the instance's ``payoff_scale``, the largest payoff any player can get.
     """
-    tolerance *= instance.profile.values[0]
+    tolerance = IFD_RESIDUAL_TOL * instance.payoff_scale
     values = site_values(instance, strategy)
     probs = strategy.as_array()
     supported = probs > SUPPORT_EPS
@@ -177,11 +177,10 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     fitted to R(p) ~ (1 - p)^d, d = -R'(0), which is exact under the
     exclusive policy, or, if d <= 0 or that start is not a normal float
     inside the bracket, from its midpoint. If the bracket runs out before
-    the sum is one, a tangent step from its low end finishes the strategy,
+    the sum is one, the strategies at its two ends are mixed to sum to one,
     or, below the normal float range, a ``SolverError`` is raised. The
-    strategy is re-checked by ``verify_ifd`` and must come back with
-    residual <= 1e-8 * value(1), otherwise a ``SolverError`` carrying
-    diagnostics is raised.
+    strategy is re-checked by ``verify_ifd`` and must come back within its
+    tolerance, otherwise a ``SolverError`` carrying diagnostics is raised.
 
     When value(2) / value(1) <= C(players), as under any constant policy, a
     full collision at the first site pays at least a solo visit to the
@@ -222,7 +221,11 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         return probs, rate
 
     lo, hi, iterations, evaluations = floor_weight, 1.0, 0, 0
-    at_lo, probs_hi = (np.ones(f.size), np.nan, np.zeros(f.size)), np.zeros(f.size)
+
+    def progress() -> dict:  # how far the solve got, for the diagnostics of every SolverError below
+        return {"iterations": iterations, "evaluations": evaluations, "bracket": [float(lo * top), float(hi * top)]}
+
+    probs_lo, probs_hi = np.ones(f.size), np.zeros(f.size)
     step = before = hi - lo
     # R' < 0 inside (0, 1) but can underflow to 0; the inf or NaN a Newton
     # step then makes fails its bracket test, which bisects instead.
@@ -234,11 +237,11 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         if not (lo < nu < hi and nu >= np.finfo(float).tiny):
             nu, guess = 0.5 * (lo + hi), np.zeros(f.size)
         while True:
-            probs, rate = site_probs(nu, guess, probs_hi, at_lo[0])
+            probs, rate = site_probs(nu, guess, probs_hi, probs_lo)
             iterations += 1
             excess = probs.sum() - 1.0
             if excess >= 0.0:
-                lo, at_lo = nu, (probs, excess, rate)
+                lo, probs_lo = nu, probs
             else:
                 hi, probs_hi = nu, probs
             middle = 0.5 * (lo + hi)
@@ -251,16 +254,16 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
             before, step = step, (newton if ok else middle) - nu
             nu, guess = nu + step, probs + step * rate
         if not abs(excess) <= SUM_TOL:
-            if hi < np.finfo(float).tiny:
-                raise SolverError("common value below the float range", value=hi * top)
-            # Sites whose values barely move with their probabilities take up the sum's error.
-            probs, excess, rate = at_lo
-            probs = probs - excess * rate / rate.sum()
+            if abs(hi) < np.finfo(float).tiny:
+                raise SolverError("common value below the float range", value=hi * top, **progress())
+            # The ends' strategies, mixed to sum to one, keep each site's value between its values at the ends.
+            mix = (probs_lo.sum() - 1.0) / (probs_lo.sum() - probs_hi.sum())
+            probs = probs_lo + mix * (probs_hi - probs_lo)
 
     probs[probs < SUPPORT_EPS] = 0.0
-    total = probs.sum()
+    total = float(probs.sum())
     if not 0.5 < total < 2.0:
-        raise SolverError("equilibrium probabilities failed to normalize", total=float(total), value=nu * top)
+        raise SolverError("equilibrium probabilities failed to normalize", total=total, value=nu * top, **progress())
     probs /= total
     report = verify_ifd(instance, Strategy.from_array(probs))
     if not report.passed:
@@ -269,6 +272,7 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
             residual=report.residual,
             common_value=report.common_value,
             value=nu * top,
+            **progress(),
         )
     return replace(report, iterations=iterations, evaluations=evaluations)
 

@@ -149,6 +149,15 @@ class TestSolve:
             assert "NaN" not in out + err
             assert "Traceback" not in err
 
+    def test_steep_table_solves(self, tmp_path, capsys):
+        # C(l) = 1 - 1e6 (l - 1): the common value is about -4.7e7, so the
+        # residual is compared with 1e-8 times the payoff scale f(1) |C(k)|.
+        table = {"type": "table", "table": [1.0 - 1e6 * l for l in range(100)]}
+        path = write_instance(tmp_path, values=[1.0, 0.9], players=100, policy=table)
+        for argv in (["solve", "--instance", path, "--mode", "ifd"], ["spoa", "--instance", path]):
+            code, _, err = run(capsys, argv)
+            assert (code, err) == (0, "")
+
     def test_solver_error_diagnostics_are_json(self, tmp_path, capsys, monkeypatch):
         diagnostics = {"residual": 2.5e-6, "common_value": 0.25, "value": 0.25}
 
@@ -201,7 +210,8 @@ class TestSpoa:
     )
     def test_flat_start_tables(self, tmp_path, capsys, values, players, table, expected):
         # C(2) = C(1): the bracket on the common value runs out before the
-        # sum test holds, and a tangent step from its low end finishes.
+        # sum test holds, and the strategies at its two ends, mixed to sum
+        # to one, finish the solve.
         path = write_instance(tmp_path, values=values, players=players, policy={"type": "table", "table": table})
         code, out, _ = run(capsys, ["spoa", "--instance", path])
         assert code == 0
@@ -209,18 +219,30 @@ class TestSpoa:
 
     @pytest.mark.parametrize(
         "values, players, expected",
-        [([1.0, 0.95], 2000, 3), ([1.0, 0.999999], 2000, 3), ([1.0, 0.5], 1500, 3), ([1.0, 0.5], 1000, 0)],
+        [
+            ([1.0, 0.95], 2000, 3),
+            ([1.0, 0.999999], 2000, 3),
+            ([1.0, 0.5], 1040, 3),
+            ([1.0, 0.5], 1500, 3),
+            ([1.0, 0.5], 1000, 0),
+        ],
     )
     def test_exclusive_crowds_end(self, tmp_path, values, players, expected):
         # The common value is about 0.5^(k-1); from k = 1040 on, the bracket
-        # runs out below the normal float range, which exits 3.
+        # runs out below the normal float range, which exits 3 with how far
+        # the solve got: its steps, its kernel evaluations and its bracket.
         path = write_instance(tmp_path, values=values, players=players)
         result = run_isolated("-m", "dispersal.cli", "spoa", "--instance", path)
         assert result.returncode == expected
         if expected == 3:
             assert result.stdout == ""
             assert result.stderr.startswith("error: common value below the float range {")
-            assert 0.0 <= json.loads(result.stderr[result.stderr.index("{") :])["value"] < sys.float_info.min
+            diagnostics = json.loads(result.stderr[result.stderr.index("{") :])
+            assert sorted(diagnostics) == ["bracket", "evaluations", "iterations", "value"]
+            assert 0.0 <= diagnostics["value"] < sys.float_info.min
+            low, high = diagnostics["bracket"]
+            assert 0.0 <= low <= high == diagnostics["value"]
+            assert diagnostics["iterations"] >= 1 and diagnostics["evaluations"] >= 1
         else:
             assert float(result.stdout) == 1.0
 

@@ -229,6 +229,18 @@ class TestEssCharacterization:
                 else:
                     assert verdict.witness_m <= 1
 
+    def test_deep_tail_ties_are_relative_to_payoff_scale(self):
+        # Payoffs reach f(1) |C(5)| = 4e6, so the m = 0 ties between the
+        # equilibrium and in-support mutants carry float noise up to 3e-10,
+        # past EQUALITY_TOL * f(1).
+        instance = GameInstance(
+            ValueProfile((1.0, 0.9, 0.8, 0.7)), 5, CongestionPolicy.from_table(1.0 - 1e6 * np.arange(5))
+        )
+        candidate = solve_ifd(instance).strategy
+        mutants = mutant_generator(instance.profile, 5, seed=0, count=64)
+        verdicts = [ess_characterization(instance, candidate, mutant) for mutant in mutants]
+        assert all(verdict.passed for verdict in verdicts)
+
     @given(
         values=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
         players=st.integers(3, 6),

@@ -86,8 +86,8 @@ class TestCoverageOptimum:
             players = int(rng.integers(2, 7))
             profile = log_uniform_profile(rng, sites)
             result = coverage_optimum(profile, players)
-            report = verify_ifd(exclusive(profile, players), result.strategy, tolerance=1e-10)
-            assert report.passed, report
+            report = verify_ifd(exclusive(profile, players), result.strategy)
+            assert report.support_is_prefix and report.residual <= 1e-10 * profile.values[0], report
             assert report.common_value == pytest.approx(result.common_value, abs=1e-10)
 
     def test_rejects_single_player(self):
@@ -125,6 +125,15 @@ class TestVerifyIfd:
         # At values of order 1e-12 an absolute 1e-8 would pass any strategy.
         instance = exclusive(ValueProfile((1e-12, 0.9e-12, 0.5e-12)), 3)
         assert not verify_ifd(instance, Strategy((0.5, 0.3, 0.2))).passed
+
+    @pytest.mark.parametrize("floor, scale", [(0.0, 2.0), (-1.0, 2.0), (-1e6, 2e6)])
+    def test_tolerance_is_relative_to_payoff_scale(self, floor, scale):
+        # A crowded site pays f(1) C(k), so below C(k) = -1 the payoffs, and
+        # their float resolution, grow with -C(k).
+        instance = GameInstance(ValueProfile((2.0, 1.0)), 3, CongestionPolicy.from_table((1.0, 0.5 * floor, floor)))
+        assert instance.payoff_scale == scale
+        report = verify_ifd(instance, Strategy((0.5, 0.5)))
+        assert report.tolerance == solvers.IFD_RESIDUAL_TOL * scale
 
 
 @pytest.fixture
@@ -300,16 +309,14 @@ class TestSolveIfd:
     def test_table_weights_beyond_the_binomial_range(self):
         # Each weight times its binomial coefficient would pass the float
         # range. The log-space kernel never forms that product, so the solve
-        # runs without a floating-point warning and ends in an equilibrium
-        # or a SolverError, never in NaN.
+        # runs without a floating-point warning. Any collision costs 1e200:
+        # the second site is crowded to its floor value -0.5e200, and the
+        # first site matches it where 1 - (1 - p)^599 = 1/2.
         policy = CongestionPolicy.from_table((1.0,) + (-1e200,) * 599)
         assert np.all(np.isfinite(congestion_kernel(policy, 600)(np.linspace(0.0, 1.0, 11))))
-        try:
-            report = solve_ifd(GameInstance(TWO_SITES, 600, policy))
-        except SolverError as error:
-            assert all(math.isfinite(v) for v in error.diagnostics.values())
-        else:
-            assert report.passed
+        report = solve_ifd(GameInstance(TWO_SITES, 600, policy))
+        assert report.passed
+        assert report.strategy.probs[0] == pytest.approx(1.0 - 0.5 ** (1 / 599), rel=1e-9)
 
 
 @st.composite
@@ -330,9 +337,9 @@ def flat_start_instances(draw):
 
 class TestBracketEnd:
     """The outer loop ends on the sum test or on a bracket with no float
-    strictly inside; then one tangent step from the low end finishes the
-    strategy, unless the common value is below the normal float range
-    (``test_cli.py::TestSpoa::test_exclusive_crowds_end``)."""
+    strictly inside; then the strategies at the two ends, mixed to sum to
+    one, finish the solve, unless the common value is below the normal float
+    range (``test_cli.py::TestSpoa::test_exclusive_crowds_end``)."""
 
     @settings(max_examples=300)
     @given(instance=flat_start_instances())
@@ -354,8 +361,87 @@ class TestBracketEnd:
         )
         with pytest.raises(SolverError, match="residual exceeds tolerance") as caught:
             solve_ifd(GameInstance(TWO_SITES, 3, CongestionPolicy.sharing()))
-        assert sorted(caught.value.diagnostics) == ["common_value", "residual", "value"]
+        assert sorted(caught.value.diagnostics) == [
+            "bracket", "common_value", "evaluations", "iterations", "residual", "value"
+        ]
         assert caught.value.diagnostics["residual"] == 1.0
+
+
+def linear_table(players, slope, flat=1):
+    """C(l) = 1 up to l = flat, then 1 - slope * (l - flat)."""
+    return CongestionPolicy.from_table(1.0 - slope * np.maximum(np.arange(1, players + 1) - flat, 0))
+
+
+@st.composite
+def deep_and_flat_instances(draw):
+    """M in 2..7, values log-uniform in [1e-3, 1], k in {2, 3, 5, 20, 100,
+    500, 1000, 2000}, and a table that is a linear tail 1 - s (l - 1), flat
+    up to a random l and then linear, or a random non-increasing one down to
+    1 - s, with s log-uniform in [1e-3, 1e9]."""
+    sites = draw(st.integers(2, 7))
+    players = draw(st.sampled_from((2, 3, 5, 20, 100, 500, 1000, 2000)))
+    values = tuple(10.0**e for e in draw(st.lists(st.floats(-3.0, 0.0), min_size=sites, max_size=sites)))
+    slope = 10.0 ** draw(st.floats(-3.0, 9.0))
+    family = draw(st.sampled_from(("linear", "flat", "random")))
+    if family == "linear":
+        policy = linear_table(players, slope)
+    elif family == "flat":
+        policy = linear_table(players, slope, draw(st.integers(1, players - 1)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tail = np.sort(rng.uniform(1.0 - slope, 1.0, players - 1))[::-1]
+        policy = CongestionPolicy.from_table([1.0, *tail.tolist()])
+    return GameInstance(ValueProfile(values), players, policy)
+
+
+class TestPayoffScale:
+    """Deep negative tails and long flat starts: every tolerance is relative
+    to ``payoff_scale`` = f(1) max(1, -C(k)), the largest payoff magnitude."""
+
+    @pytest.mark.parametrize(
+        "values, players, slope",
+        [((1.0, 0.9), 2000, 1.0), ((1.0, 0.9), 10_000, 1e-3)],
+    )
+    def test_negative_common_value_is_not_underflow(self, values, players, slope):
+        instance = GameInstance(ValueProfile(values), players, linear_table(players, slope))
+        report = solve_ifd(instance)
+        assert report.common_value < 0.0
+        assert report.residual <= 1e-13 * instance.payoff_scale
+
+    @pytest.mark.parametrize(
+        "values, slope, flat",
+        [((1.0, 0.9), 0.01, 900), ((1.0, 0.5), 0.01, 800), ((1.0, 1.0, 1.0, 0.1, 0.1), 1.0, 348)],
+    )
+    def test_flat_sites_with_infinite_rates(self, values, slope, flat):
+        # R' underflows to 0 at a flat site, so its rate dp/dnu is inf, and
+        # its probability jumps between the bracket's two ends. In the last
+        # case two such sites would share the sum's excess of 0.004 equally,
+        # though one holds only 2e-4; the mix of the two ends stays inside.
+        instance = GameInstance(ValueProfile(values), 1000, linear_table(1000, slope, flat))
+        report = solve_ifd(instance)
+        assert report.residual <= 1e-12 * instance.profile.values[0]
+
+    @pytest.mark.parametrize(
+        "values, players, slope",
+        [((1.0, 0.9), 100, 1e6), ((1.0, 0.9), 1000, 1e3), ((1.0, 0.9, 0.8, 0.7), 5, 1e9)],
+    )
+    def test_steep_tails_solve_to_float_resolution(self, values, players, slope):
+        # Payoffs reach f(1) |C(k)|, so their ulp is far above 1e-8 f(1).
+        instance = GameInstance(ValueProfile(values), players, linear_table(players, slope))
+        assert instance.payoff_scale == values[0] * (slope * (players - 1) - 1.0)
+        report = solve_ifd(instance)
+        assert report.tolerance == solvers.IFD_RESIDUAL_TOL * instance.payoff_scale
+        assert report.residual <= 1e-13 * instance.payoff_scale
+
+    @settings(max_examples=250)
+    @given(instance=deep_and_flat_instances())
+    def test_deep_and_flat_tables_solve(self, instance):
+        try:
+            report = solve_ifd(instance)
+        except SolverError as error:
+            assert str(error) == "common value below the float range"
+        else:
+            assert verify_ifd(instance, report.strategy).passed
 
 
 def nested_bisection_ifd(instance):
@@ -704,7 +790,8 @@ class TestPriceOfAnarchy:
     def test_flat_table_on_separated_values(self):
         # C(2) = C(1) makes R'(0) = 0, so a site's probability rises from 0
         # as (f(x) - nu)^(1/j): here the second site needs nu closer to f(2)
-        # than a float resolves, and the tangent finish sets its probability.
+        # than a float resolves, and the finish on the bracket's ends sets its
+        # probability.
         instance = GameInstance(ValueProfile((1.0, 0.1)), 8, CongestionPolicy.from_table((1.0,) * 7 + (0.0,)))
         assert symmetric_price_of_anarchy(instance) >= 1.0 + 1e-9
 
