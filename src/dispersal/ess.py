@@ -28,8 +28,8 @@ from .solvers import coverage_optimum
 
 # Payoff differences inside this band count as the exact ties the
 # characterization demands; a difference must clear the strict margin to
-# count as a win. Both scale by the instance's payoff_scale; the margin sits
-# below the band so that genuine strictness is separated from float noise.
+# count as a win. Both scale by the payoff_scale of the mix's site payoffs; the
+# margin sits below the band so that genuine strictness is separated from float noise.
 EQUALITY_TOL = 1e-10
 STRICT_MARGIN = 1e-12
 
@@ -94,14 +94,14 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
         f"mutant: must differ from the candidate by more than {MIN_MUTANT_DISTANCE} in max-norm",
     )
     k, f = instance.players, instance.profile.as_array()
-    scale, weights = instance.payoff_scale, instance.policy.weights(k)
+    weights = instance.policy.weights(k)
     margins: list[float] = []
     for m in range(k):
         # With Y ~ Bin(m, mutant(x)) and B ~ Bin(k-m-1, candidate(x)), site x pays value(x) *
         # sum_y P(Y = y) E[C(1 + y + B)]; column y of the Hankel matrix weights[b + y] gives the E.
         shifted = _bernstein(weights[np.add.outer(np.arange(k - m), np.arange(m + 1))])(candidate.as_array())
         values = f * np.sum(shifted * _bernstein(np.eye(m + 1))(mutant.as_array()), axis=1)
-        margin = float(difference @ values)
+        margin, scale = float(difference @ values), instance.payoff_scale(values)
         margins.append(margin)
         if margin > STRICT_MARGIN * scale:
             return EssVerdict(mutant=mutant, passed=True, witness_m=m, margins=tuple(margins))

@@ -243,10 +243,9 @@ class GameInstance:
     def sites(self) -> int:
         return self.profile.size
 
-    @property
-    def payoff_scale(self) -> float:
-        """f(1) * max(1, -C(players)), the largest payoff magnitude a player can receive; tolerances scale by it."""
-        return self.profile.values[0] * max(1.0, -self.policy.at(self.players))
+    def payoff_scale(self, payoffs: np.ndarray) -> float:
+        """max(f(1), max |payoffs|): C <= 1 keeps each payoff's rounding error to a few ulps of it; tolerances scale by it."""
+        return max(self.profile.values[0], float(np.max(np.abs(payoffs))))
 
 
 @dataclass(frozen=True)

@@ -140,10 +140,10 @@ def verify_ifd(instance: GameInstance, strategy: Strategy) -> EquilibriumReport:
     Supported sites must share a common expected value and every
     unsupported site must fall strictly below it. Violations are reported
     through ``residual``, never raised, against ``IFD_RESIDUAL_TOL`` times
-    the instance's ``payoff_scale``, the largest payoff any player can get.
+    the ``payoff_scale`` of the site values.
     """
-    tolerance = IFD_RESIDUAL_TOL * instance.payoff_scale
     values = site_values(instance, strategy)
+    tolerance = IFD_RESIDUAL_TOL * instance.payoff_scale(values)
     probs = strategy.as_array()
     supported = probs > SUPPORT_EPS
     n_support = int(np.count_nonzero(supported))

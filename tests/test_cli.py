@@ -151,7 +151,7 @@ class TestSolve:
 
     def test_steep_table_solves(self, tmp_path, capsys):
         # C(l) = 1 - 1e6 (l - 1): the common value is about -4.7e7, so the
-        # residual is compared with 1e-8 times the payoff scale f(1) |C(k)|.
+        # residual is compared with 1e-8 times the largest site value magnitude.
         table = {"type": "table", "table": [1.0 - 1e6 * l for l in range(100)]}
         path = write_instance(tmp_path, values=[1.0, 0.9], players=100, policy=table)
         for argv in (["solve", "--instance", path, "--mode", "ifd"], ["spoa", "--instance", path]):

@@ -230,7 +230,7 @@ class TestEssCharacterization:
                     assert verdict.witness_m <= 1
 
     def test_deep_tail_ties_are_relative_to_payoff_scale(self):
-        # Payoffs reach f(1) |C(5)| = 4e6, so the m = 0 ties between the
+        # The common value is -8.4e5 f(1), so the m = 0 ties between the
         # equilibrium and in-support mutants carry float noise up to 3e-10,
         # past EQUALITY_TOL * f(1).
         instance = GameInstance(

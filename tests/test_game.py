@@ -213,21 +213,11 @@ class TestGameInstance:
         with pytest.raises(ValidationError):
             GameInstance(TWO_SITES, 3, CongestionPolicy.from_table((1.0, 0.5)))
 
-    @pytest.mark.parametrize(
-        "policy, scale",
-        [
-            (CongestionPolicy.exclusive(), 3.0),
-            (CongestionPolicy.sharing(), 3.0),
-            (CongestionPolicy.from_table((1.0, 0.0, -1.0, -50.0)), 3.0),
-            (CongestionPolicy.from_table((1.0, -2.0, -4.0, -50.0)), 12.0),
-        ],
-    )
-    def test_payoff_scale_is_the_largest_payoff_magnitude(self, policy, scale):
-        # f(1) max(1, -C(k)): a solo visit to the top site, or a full crowd
-        # there; the table's entries beyond k do not count.
-        instance = GameInstance(ValueProfile((1.5, 3.0)), 3, policy)
-        assert instance.payoff_scale == scale
-        assert instance.payoff_scale >= max(abs(payoff_single(instance, 1, occupancy)) for occupancy in (1, 2, 3))
+    @pytest.mark.parametrize("payoffs, scale", [((0.5, -1.0), 3.0), ((-3.0, 3.0), 3.0), ((1.0, -12.0), 12.0)])
+    def test_payoff_scale_is_f1_or_the_largest_payoff_magnitude(self, payoffs, scale):
+        # Only payoffs below -f(1), where C(l) < -1 is reached, widen it.
+        instance = GameInstance(ValueProfile((1.5, 3.0)), 3, CongestionPolicy.from_table((1.0, -2.0, -4.0)))
+        assert instance.payoff_scale(np.array(payoffs)) == scale
 
 
 class TestPayoffSingle:

@@ -126,14 +126,22 @@ class TestVerifyIfd:
         instance = exclusive(ValueProfile((1e-12, 0.9e-12, 0.5e-12)), 3)
         assert not verify_ifd(instance, Strategy((0.5, 0.3, 0.2))).passed
 
-    @pytest.mark.parametrize("floor, scale", [(0.0, 2.0), (-1.0, 2.0), (-1e6, 2e6)])
-    def test_tolerance_is_relative_to_payoff_scale(self, floor, scale):
-        # A crowded site pays f(1) C(k), so below C(k) = -1 the payoffs, and
-        # their float resolution, grow with -C(k).
+    @pytest.mark.parametrize("floor", [0.0, -1.0, -1e6])
+    def test_tolerance_is_relative_to_payoff_scale(self, floor):
+        # The site values are 0.5 + floor and 0.25 + floor / 2, so below
+        # floor = -1 they, and their float resolution, grow with -floor.
         instance = GameInstance(ValueProfile((2.0, 1.0)), 3, CongestionPolicy.from_table((1.0, 0.5 * floor, floor)))
-        assert instance.payoff_scale == scale
         report = verify_ifd(instance, Strategy((0.5, 0.5)))
-        assert report.tolerance == solvers.IFD_RESIDUAL_TOL * scale
+        assert report.tolerance == solvers.IFD_RESIDUAL_TOL * instance.payoff_scale(np.array(report.site_values))
+        assert report.tolerance == pytest.approx(solvers.IFD_RESIDUAL_TOL * max(2.0, -0.5 - floor), rel=1e-12)
+
+    def test_deep_tail_out_of_reach_keeps_tolerance(self):
+        # C(20) = 1 - 1e9, but the uniform strategy crowds a site with all 20
+        # players at odds 7^-19, so its site values stay near f(x), 0.6 apart.
+        values = ValueProfile((1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4))
+        report = verify_ifd(GameInstance(values, 20, linear_table(20, 1e9, 19)), Strategy.from_array(np.full(7, 1 / 7)))
+        assert report.residual == pytest.approx(0.6, abs=1e-6)
+        assert not report.passed
 
 
 @pytest.fixture
@@ -396,7 +404,7 @@ def deep_and_flat_instances(draw):
 
 class TestPayoffScale:
     """Deep negative tails and long flat starts: every tolerance is relative
-    to ``payoff_scale`` = f(1) max(1, -C(k)), the largest payoff magnitude."""
+    to ``payoff_scale`` = max(f(1), max |site value|)."""
 
     @pytest.mark.parametrize(
         "values, players, slope",
@@ -406,7 +414,7 @@ class TestPayoffScale:
         instance = GameInstance(ValueProfile(values), players, linear_table(players, slope))
         report = solve_ifd(instance)
         assert report.common_value < 0.0
-        assert report.residual <= 1e-13 * instance.payoff_scale
+        assert report.residual <= 1e-13 * instance.payoff_scale(np.array(report.site_values))
 
     @pytest.mark.parametrize(
         "values, slope, flat",
@@ -426,22 +434,18 @@ class TestPayoffScale:
         [((1.0, 0.9), 100, 1e6), ((1.0, 0.9), 1000, 1e3), ((1.0, 0.9, 0.8, 0.7), 5, 1e9)],
     )
     def test_steep_tails_solve_to_float_resolution(self, values, players, slope):
-        # Payoffs reach f(1) |C(k)|, so their ulp is far above 1e-8 f(1).
-        instance = GameInstance(ValueProfile(values), players, linear_table(players, slope))
-        assert instance.payoff_scale == values[0] * (slope * (players - 1) - 1.0)
-        report = solve_ifd(instance)
-        assert report.tolerance == solvers.IFD_RESIDUAL_TOL * instance.payoff_scale
-        assert report.residual <= 1e-13 * instance.payoff_scale
+        # The common value is -4.7e7, -4.7e5 and -8.4e8 f(1), so its ulp is far above 1e-8 f(1).
+        report = solve_ifd(GameInstance(ValueProfile(values), players, linear_table(players, slope)))
+        assert report.common_value < -1e5 * values[0]
+        assert report.residual <= 1e-13 * abs(report.common_value)
 
     @settings(max_examples=250)
     @given(instance=deep_and_flat_instances())
     def test_deep_and_flat_tables_solve(self, instance):
         try:
-            report = solve_ifd(instance)
+            solve_ifd(instance)  # returns only a strategy that passes verify_ifd
         except SolverError as error:
             assert str(error) == "common value below the float range"
-        else:
-            assert verify_ifd(instance, report.strategy).passed
 
 
 def nested_bisection_ifd(instance):
