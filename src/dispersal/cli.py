@@ -8,7 +8,7 @@ optimum for an instance file), ``spoa`` (symmetric price of anarchy),
 invades the exclusive optimum in ``ess-check``, 2 validation error, 3
 solver non-convergence with JSON diagnostics.
 
-Numeric output is fixed at 9 decimal places so repeated runs diff clean.
+``_emit`` rounds every float of a payload to 9 decimals, so repeated runs diff clean.
 """
 
 from __future__ import annotations
@@ -49,9 +49,13 @@ DEFAULT_ROUNDS = 100_000
 INSTANCE_FIELDS = ("values", "players", "policy")
 
 
-def _round9(value: float) -> float:
-    rounded = round(float(value), 9)
-    return 0.0 if rounded == 0.0 else rounded
+def _round9(value):
+    """``value`` with every float in it, through dicts, lists and tuples, rounded to 9 decimals; -0.0 becomes 0.0."""
+    if isinstance(value, dict):
+        return {key: _round9(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round9(item) for item in value]
+    return round(float(value), 9) + 0.0 if isinstance(value, float) else value
 
 
 def round_distribution(probs) -> list[float]:
@@ -69,7 +73,7 @@ def round_distribution(probs) -> list[float]:
 
 
 def _emit(payload: dict, out_path: str | None = None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(_round9(payload), indent=2) + "\n"
     if out_path:
         with open(out_path, "w", newline="") as handle:
             handle.write(text)
@@ -124,7 +128,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         strategy = Strategy.point_mass(1, profile.size)
         details = {
             "support_size": 1,
-            "common_value": _round9(profile.values[0]),
+            "common_value": profile.values[0],
             "note": "single player: point mass on the highest-value site",
         }
     elif args.mode == "sigma-star":
@@ -133,25 +137,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
         exclusive = GameInstance(profile, instance.players, CongestionPolicy.exclusive())
         details = {
             "support_size": optimum.support_size,
-            "normalizer": _round9(optimum.normalizer),
-            "common_value": _round9(optimum.common_value),
-            "coverage": _round9(coverage(profile, instance.players, strategy)),
-            "residual": _round9(verify_ifd(exclusive, strategy).residual),
+            "normalizer": optimum.normalizer,
+            "common_value": optimum.common_value,
+            "coverage": coverage(profile, instance.players, strategy),
+            "residual": verify_ifd(exclusive, strategy).residual,
         }
     elif args.mode == "ifd":
         report = solve_ifd(instance)
         strategy = report.strategy
         details = {
             "support_size": report.support_size,
-            "common_value": _round9(report.common_value),
-            "residual": _round9(report.residual),
+            "common_value": report.common_value,
+            "residual": report.residual,
             "boundary": report.boundary_flag,
-            "coverage": _round9(coverage(profile, instance.players, strategy)),
+            "coverage": coverage(profile, instance.players, strategy),
         }
     else:
         result = welfare_optimum(instance)
         strategy = result.strategy
-        details = {"payoff": _round9(result.payoff), "coverage": _round9(coverage(profile, instance.players, strategy))}
+        details = {"payoff": result.payoff, "coverage": coverage(profile, instance.players, strategy)}
     # Strategies are reported in canonical (descending-value) site order;
     # site_order maps each position back to the 1-based input position.
     site_order = [i + 1 for i in profile.input_order]
@@ -189,13 +193,7 @@ def cmd_ess_check(args: argparse.Namespace) -> int:
         if verdict.passed:
             passed += 1
         else:
-            failures.append(
-                {
-                    "mutant_index": index,
-                    "mutant": round_distribution(mutant.probs),
-                    "margins": [_round9(m) for m in verdict.margins],
-                }
-            )
+            failures.append({"mutant_index": index, "mutant": round_distribution(mutant.probs), "margins": verdict.margins})
     summary = {
         "candidate_kind": candidate_kind,
         "candidate": round_distribution(candidate.probs),
@@ -255,15 +253,7 @@ def _strategy_from_file(path: str, sites: int) -> Strategy:
 
 
 def _report_payload(report: SimReport) -> dict:
-    return {
-        "mean_payoff_per_player": [_round9(v) for v in report.mean_payoff_per_player],
-        "mean_coverage": _round9(report.mean_coverage),
-        "std_error_payoff": [_round9(v) for v in report.std_error_payoff],
-        "std_error_coverage": _round9(report.std_error_coverage),
-        "rounds": report.rounds,
-        "seed": report.seed,
-        "degenerate": report.degenerate,
-    }
+    return {name: value for name, value in vars(report).items() if name != "occupancy_histogram"}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -222,9 +222,9 @@ class Strategy:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    def support(self, eps: float = SUPPORT_EPS) -> tuple[int, ...]:
-        """1-based indices of sites played with probability above ``eps``."""
-        return tuple([i + 1 for i, p in enumerate(self.probs) if p > eps])
+    def support(self) -> tuple[int, ...]:
+        """1-based indices of sites played with probability above ``SUPPORT_EPS``."""
+        return tuple([i + 1 for i, p in enumerate(self.probs) if p > SUPPORT_EPS])
 
 
 @dataclass(frozen=True)

@@ -73,13 +73,14 @@ class SimReport:
 def _sampler(probs: np.ndarray):
     """Inverse-CDF site picker, bit-identical to ``searchsorted(cdf, u, side="right")``.
 
-    A power-of-two table of buckets makes ``u * size`` exact. A draw takes
-    its bucket's first site, plus one if it is at or above the bucket's one
-    cdf boundary; buckets with more (zero-probability sites) binary-search.
+    A power-of-two table of at most ``_CHUNK_ENTRIES`` buckets makes ``u *
+    size`` exact. A draw takes its bucket's first site, plus one if it is at
+    or above the bucket's one cdf boundary; buckets with more (zero-probability
+    sites, or sites packed closer than the table's step) binary-search.
     """
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    size = 1 << (4 * cdf.size).bit_length()
+    size = min(1 << (4 * cdf.size).bit_length(), _CHUNK_ENTRIES)
     edges = np.arange(size + 1) / size
     first = np.searchsorted(cdf, edges[:-1], side="right")
     inside = np.searchsorted(cdf, edges[1:], side="left") - first

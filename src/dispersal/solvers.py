@@ -119,13 +119,28 @@ def _pareto(f: np.ndarray, exponent: float) -> tuple[np.ndarray, float]:
     return probs, alpha
 
 
+def _finish(f: np.ndarray, probs: np.ndarray) -> Strategy:
+    """The strategy a solver returns: sites of equal value share their mean
+    probability, those at or below ``SUPPORT_EPS`` get 0, and the rest sum to 1.
+
+    ``f`` is sorted, so equal values are adjacent; a mean is the group's first
+    entry plus its mean deviation, which leaves equal entries exactly as they are.
+    """
+    if len(set(f.tolist())) < f.size:
+        starts = np.r_[True, f[1:] != f[:-1]]
+        group = np.cumsum(starts) - 1
+        first = probs[starts][group]
+        probs = first + (np.bincount(group, probs - first) / np.bincount(group))[group]
+    probs[probs <= SUPPORT_EPS] = 0.0
+    return Strategy.from_array(probs / probs.sum())
+
+
 def coverage_optimum(profile: ValueProfile, players: int) -> CoverageOptimum:
     """Closed-form coverage-maximizing strategy for ``players`` dispersers: the Pareto shape of exponent 1 / (players - 1)."""
     _count(players, "players", 2)
-    probs, alpha = _pareto(profile.as_array(), 1.0 / (players - 1))
-    probs[probs < SUPPORT_EPS] = 0.0
-    probs /= probs.sum()
-    strategy = Strategy.from_array(probs)
+    f = profile.as_array()
+    probs, alpha = _pareto(f, 1.0 / (players - 1))
+    strategy = _finish(f, probs)
     return CoverageOptimum(
         strategy=strategy,
         support_size=len(strategy.support()),
@@ -177,10 +192,11 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     fitted to R(p) ~ (1 - p)^d, d = -R'(0), which is exact under the
     exclusive policy, or, if d <= 0 or that start is not a normal float
     inside the bracket, from its midpoint. If the bracket runs out before
-    the sum is one, the strategies at its two ends are mixed to sum to one,
-    or, below the normal float range, a ``SolverError`` is raised. The
-    strategy is re-checked by ``verify_ifd`` and must come back within its
-    tolerance, otherwise a ``SolverError`` carrying diagnostics is raised.
+    the sum is one, the strategies at its two ends (the low end evaluated
+    first if no step did) are mixed to sum to one, or, below the normal
+    float range, a ``SolverError`` is raised. The strategy, finished as
+    ``coverage_optimum``'s is, is re-checked by ``verify_ifd`` and must come
+    back within its tolerance, or a ``SolverError`` with diagnostics is raised.
 
     When value(2) / value(1) <= C(players), as under any constant policy, a
     full collision at the first site pays at least a solo visit to the
@@ -256,16 +272,13 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         if not abs(excess) <= SUM_TOL:
             if abs(hi) < np.finfo(float).tiny:
                 raise SolverError("common value below the float range", value=hi * top, **progress())
+            if lo == floor_weight:  # not evaluated: its ones only bound the inner bracket
+                probs_lo, _ = site_probs(lo, probs_hi, probs_hi, probs_lo)
             # The ends' strategies, mixed to sum to one, keep each site's value between its values at the ends.
             mix = (probs_lo.sum() - 1.0) / (probs_lo.sum() - probs_hi.sum())
             probs = probs_lo + mix * (probs_hi - probs_lo)
 
-    probs[probs < SUPPORT_EPS] = 0.0
-    total = float(probs.sum())
-    if not 0.5 < total < 2.0:
-        raise SolverError("equilibrium probabilities failed to normalize", total=total, value=nu * top, **progress())
-    probs /= total
-    report = verify_ifd(instance, Strategy.from_array(probs))
+    report = verify_ifd(instance, _finish(f, probs))
     if not report.passed:
         raise SolverError(
             "equilibrium residual exceeds tolerance",

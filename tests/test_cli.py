@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from conftest import run_isolated
 from dispersal import SolverError, Strategy, cli
 from dispersal.cli import main, round_distribution
+from dispersal.ess import EssVerdict
 from dispersal.game import MAX_PLAYERS
+from dispersal.montecarlo import SimReport
 
 
 def write_instance(tmp_path, name="instance.json", **fields):
@@ -158,6 +161,17 @@ class TestSolve:
             code, _, err = run(capsys, argv)
             assert (code, err) == (0, "")
 
+    def test_common_value_at_the_table_floor_solves(self, tmp_path, capsys):
+        # f(2) / f(1) = 0.42 lies just above C(8) = 0.419: the equilibrium's
+        # common value is within an ulp of the low end of the outer bracket.
+        table = {"type": "table", "table": [1.0, 0.78] + [0.419] * 6}
+        path = write_instance(tmp_path, values=[1.0, 0.42], players=8, policy=table)
+        code, out, err = run(capsys, ["solve", "--instance", path, "--mode", "ifd"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["strategy"] == [0.998458454, 0.001541546]
+        code, out, err = run(capsys, ["spoa", "--instance", path])
+        assert (code, err) == (0, "")
+
     def test_solver_error_diagnostics_are_json(self, tmp_path, capsys, monkeypatch):
         diagnostics = {"residual": 2.5e-6, "common_value": 0.25, "value": 0.25}
 
@@ -289,6 +303,22 @@ class TestEssCheck:
             assert failure["margins"] == [0.0, 0.0, 0.0]
             Strategy(tuple(failure["mutant"]))
 
+    @pytest.mark.parametrize("policy, expected", [("exclusive", 1), ("sharing", 0)])
+    def test_invaded_exclusive_optimum_exits_1(self, tmp_path, capsys, monkeypatch, policy, expected):
+        # No generated mutant invades the exclusive optimum, so a verdict
+        # that always fails stands in for one that does.
+        def invaded(instance, resident, mutant):
+            return EssVerdict(mutant=mutant, passed=False, witness_m=None, margins=(-1e-12, -0.5))
+
+        monkeypatch.setattr(cli, "ess_characterization", invaded)
+        path = write_instance(tmp_path, policy={"type": policy})
+        code, out, _ = run(capsys, ["ess-check", "--instance", path, "--mutants", "3", "--seed", "1"])
+        assert code == expected
+        payload = json.loads(out)
+        assert payload["all_passed"] is False
+        assert payload["failed"] == payload["checked"] >= 1
+        assert all(failure["margins"] == [0.0, -0.5] for failure in payload["failures"])
+
     def test_non_exclusive_reports_without_requirement(self, tmp_path, capsys):
         path = write_instance(tmp_path, policy={"type": "sharing"})
         code, out, _ = run(capsys, ["ess-check", "--instance", path, "--mutants", "10", "--seed", "1"])
@@ -393,6 +423,8 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["degenerate"] is True
         assert payload["std_error_coverage"] == 0.0
+        fields = [field.name for field in dataclasses.fields(SimReport) if field.name != "occupancy_histogram"]
+        assert list(payload) == fields
 
     def test_strategy_file_source(self, tmp_path, capsys):
         path = write_instance(tmp_path)
@@ -588,6 +620,17 @@ class TestSolverSurface:
             assert code == 2
             assert out.getvalue() == ""
             assert f"players: must be an integer in [2, {MAX_PLAYERS}], got {players}\n" in err.getvalue()
+
+
+class TestRound9:
+    def test_every_float_is_rounded_at_any_depth(self):
+        payload = {"a": [-1e-12, (0.1234567891234, 2)], "b": {"c": -0.0}, "d": True, "e": "x", "f": None}
+        assert cli._round9(payload) == {"a": [0.0, [0.123456789, 2]], "b": {"c": 0.0}, "d": True, "e": "x", "f": None}
+        assert "-0.0" not in json.dumps(cli._round9(payload))
+
+    def test_emit_applies_it(self, capsys):
+        cli._emit({"value": 1 / 3, "values": [2 / 3, -1e-10]})
+        assert json.loads(capsys.readouterr().out) == {"value": 0.333333333, "values": [0.666666667, 0.0]}
 
 
 class TestRoundDistribution:

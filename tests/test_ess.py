@@ -440,6 +440,10 @@ class TestMutantGenerator:
         masses = {Strategy.point_mass(x, 3).probs for x in (1, 2, 3)}
         assert masses.issubset({m.probs for m in mutants})
 
+    def test_fewer_mutants_than_sites_are_the_first_point_masses(self):
+        mutants = mutant_generator(ValueProfile((1.0, 0.6, 0.2, 0.1)), 2, seed=0, count=2)
+        assert mutants == [Strategy.point_mass(1, 4), Strategy.point_mass(2, 4)]
+
     def test_deterministic_given_seed(self):
         a = mutant_generator(TWO_SITES, 3, seed=12, count=16)
         b = mutant_generator(TWO_SITES, 3, seed=12, count=16)

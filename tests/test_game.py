@@ -253,6 +253,12 @@ class TestCollisionDistribution:
         with pytest.raises(ValidationError):
             collision_distribution([0.5, 1.2])
 
+    def test_opponents_and_pmf_outside_the_support(self):
+        dist = collision_distribution([0.5, 0.5, 0.5])
+        assert dist.opponents == 3
+        assert dist.pmf(-1) == 0.0
+        assert dist.pmf(4) == 0.0
+
     @pytest.mark.parametrize("n,p", [(1, 0.3), (4, 0.15), (7, 0.84), (7, 0.0), (5, 1.0)])
     def test_identical_entries_match_binomial(self, n, p):
         dist = collision_distribution([p] * n)

@@ -277,12 +277,17 @@ class TestChunkEngine:
 
     def test_sampler_matches_binary_search_on_boundaries(self):
         # Draws exactly on a cdf value, next to one, or on a bucket edge
-        # are where a lookup table could round the wrong way.
+        # are where a lookup table could round the wrong way. The last
+        # profile, 20,000 sites with every third at probability 0, would
+        # get 2**17 buckets without the table's cap of 2**16.
         rng = np.random.default_rng(74)
-        for probs in ((0.5, 0.5), (0.25, 0.0, 0.0, 0.5, 0.25), tuple(rng.dirichlet(np.ones(50))), (1.0,)):
+        crowded = rng.dirichlet(np.ones(20_000)) * (np.arange(20_000) % 3 > 0)
+        for probs in (
+            (0.5, 0.5), (0.25, 0.0, 0.0, 0.5, 0.25), tuple(rng.dirichlet(np.ones(50))), (1.0,), crowded / crowded.sum()
+        ):
             cdf = np.cumsum(probs)
             cdf[-1] = 1.0
-            points = np.r_[cdf[:-1], np.arange(64) / 64, 0.0]
+            points = np.r_[cdf[:-1], np.arange(2**16) / 2**16, 0.0]
             u = np.unique(np.r_[points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
             u = u[(u >= 0.0) & (u < 1.0)]
             got = montecarlo._sampler(np.array(probs))(u)

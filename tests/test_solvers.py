@@ -374,6 +374,21 @@ class TestBracketEnd:
         ]
         assert caught.value.diagnostics["residual"] == 1.0
 
+    @pytest.mark.parametrize(
+        "values, expected",
+        [((1.0, 0.42), (0.998458454, 0.001541546)), ((1.0, 0.42, 0.09), (0.998458454, 0.001541546, 0.0))],
+    )
+    def test_low_end_is_evaluated_before_the_end_mix(self, values, expected):
+        # f(2) / f(1) = 0.42 lies just above C(8) = 0.419, so the common value
+        # is within an ulp of C(k) and no evaluated point sums to 1 or more.
+        # The low end's strategy is then the one at C(k), which puts every
+        # site but the first at 0, not the ones that bound the inner bracket.
+        instance = GameInstance(ValueProfile(values), 8, CongestionPolicy.from_table((1.0, 0.78) + (0.419,) * 6))
+        report = solve_ifd(instance)
+        assert report.passed
+        assert report.strategy.probs == pytest.approx(expected, abs=1e-9)
+        assert report.residual <= 1e-15
+
 
 def linear_table(players, slope, flat=1):
     """C(l) = 1 up to l = flat, then 1 - slope * (l - flat)."""
@@ -385,13 +400,24 @@ def deep_and_flat_instances(draw):
     """M in 2..7, values log-uniform in [1e-3, 1], k in {2, 3, 5, 20, 100,
     500, 1000, 2000}, and a table that is a linear tail 1 - s (l - 1), flat
     up to a random l and then linear, or a random non-increasing one down to
-    1 - s, with s log-uniform in [1e-3, 1e9]."""
+    1 - s, with s log-uniform in [1e-3, 1e9]; or k in {3, 5, 8, 20, 100}, C
+    = c in (0.05, 0.9) from a random l0 >= 3 on, C(2) in (c, 1), f(2) / f(1)
+    = c (1 + 10^U(-6, -0.5)) and the other values below f(2)."""
     sites = draw(st.integers(2, 7))
     players = draw(st.sampled_from((2, 3, 5, 20, 100, 500, 1000, 2000)))
     values = tuple(10.0**e for e in draw(st.lists(st.floats(-3.0, 0.0), min_size=sites, max_size=sites)))
     slope = 10.0 ** draw(st.floats(-3.0, 9.0))
-    family = draw(st.sampled_from(("linear", "flat", "random")))
-    if family == "linear":
+    family = draw(st.sampled_from(("linear", "flat", "random", "near-floor")))
+    if family == "near-floor":
+        # C = c from l0 on and f(2) / f(1) just above c: the common value
+        # lies within an ulp of C(k), the low end of the outer bracket.
+        players = draw(st.sampled_from((3, 5, 8, 20, 100)))
+        c, l0 = draw(st.floats(0.05, 0.9)), draw(st.integers(3, players))
+        c2 = draw(st.floats(c, 1.0, exclude_min=True, exclude_max=True))
+        policy = CongestionPolicy.from_table(np.interp(np.arange(1, players + 1), [1, 2, l0], [1.0, c2, c]))
+        second = c * (1.0 + 10.0 ** draw(st.floats(-6.0, -0.5)))
+        values = (1.0, second, *(second * v for v in values[2:]))
+    elif family == "linear":
         policy = linear_table(players, slope)
     elif family == "flat":
         policy = linear_table(players, slope, draw(st.integers(1, players - 1)))
@@ -400,6 +426,38 @@ def deep_and_flat_instances(draw):
         tail = np.sort(rng.uniform(1.0 - slope, 1.0, players - 1))[::-1]
         policy = CongestionPolicy.from_table([1.0, *tail.tolist()])
     return GameInstance(ValueProfile(values), players, policy)
+
+
+class TestFinish:
+    """Both solvers return through ``_finish``: equal values share their mean
+    probability, entries at or below ``SUPPORT_EPS`` become 0, and the rest
+    sum to one."""
+
+    def test_trims_renormalizes_and_averages_ties(self):
+        f = np.array([1.0, 0.5, 0.5, 0.2, 0.1])
+        probs = np.array([0.5, 0.3, 0.2, 1e-3, SUPPORT_EPS])
+        strategy = solvers._finish(f, probs)
+        assert strategy.probs == pytest.approx(np.array([0.5, 0.25, 0.25, 1e-3, 0.0]) / 1.001, abs=1e-15)
+        assert strategy.probs[1] == strategy.probs[2]
+        assert strategy.support() == (1, 2, 3, 4)
+
+    def test_equal_entries_are_kept_bit_for_bit(self):
+        # A mean of equal floats could round away from them; the first entry
+        # plus the mean deviation cannot.
+        # (0.1 + 0.1 + 0.1) / 3 is 0.10000000000000002.
+        probs = np.array([0.1, 0.1, 0.1, 0.7])
+        untied = solvers._finish(np.array([4.0, 3.0, 2.0, 1.0]), probs.copy())
+        assert solvers._finish(np.array([1.0, 1.0, 1.0, 0.5]), probs) == untied
+
+    @pytest.mark.parametrize("ties, expected", [(2, 0.00507), (3, 0.00338)])
+    def test_tied_sites_share_one_probability(self, ties, expected):
+        # On a flat value curve identical rows of one kernel evaluation come
+        # back an ulp apart, which tipped the mass onto one of the tied sites.
+        values = (1.0, 1.0, 1.0) + (0.1,) * ties
+        report = solve_ifd(GameInstance(ValueProfile(values), 1000, linear_table(1000, 1.0, 348)))
+        assert len(set(report.strategy.probs[3:])) == 1
+        assert report.strategy.probs[3] == pytest.approx(expected, abs=1e-5)
+        assert report.passed and report.residual <= 1e-13
 
 
 class TestPayoffScale:
