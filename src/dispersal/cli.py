@@ -17,9 +17,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .ess import MIN_MUTANT_DISTANCE, ess_characterization, mutant_generator
+from .ess import ess_batch, mutant_generator
 from .game import (
     CongestionPolicy,
     GameInstance,
@@ -181,27 +179,21 @@ def cmd_ess_check(args: argparse.Namespace) -> int:
         candidate_kind = "equilibrium"
 
     mutants = mutant_generator(instance.profile, instance.players, args.seed, args.mutants)
-    candidate_arr = candidate.as_array()
-    checked = passed = skipped = 0
-    failures = []
-    for index, mutant in enumerate(mutants):
-        if float(np.max(np.abs(mutant.as_array() - candidate_arr))) <= MIN_MUTANT_DISTANCE:
-            skipped += 1
-            continue
-        verdict = ess_characterization(instance, candidate, mutant)
-        checked += 1
-        if verdict.passed:
-            passed += 1
-        else:
-            failures.append({"mutant_index": index, "mutant": round_distribution(mutant.probs), "margins": verdict.margins})
+    verdicts = ess_batch(instance, candidate, mutants)
+    checked = sum(verdict is not None for verdict in verdicts)
+    failures = [
+        {"mutant_index": index, "mutant": round_distribution(verdict.mutant.probs), "margins": verdict.margins}
+        for index, verdict in enumerate(verdicts)
+        if verdict is not None and not verdict.passed
+    ]
     summary = {
         "candidate_kind": candidate_kind,
         "candidate": round_distribution(candidate.probs),
         "mutants": args.mutants,
         "checked": checked,
-        "passed": passed,
+        "passed": checked - len(failures),
         "failed": len(failures),
-        "skipped": skipped,
+        "skipped": args.mutants - checked,
         "failures": failures,
         "all_passed": not failures,
     }

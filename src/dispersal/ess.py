@@ -77,43 +77,53 @@ def mixture_payoff(
     return float(focal.as_array() @ site_values(instance, mixed))
 
 
-def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: Strategy) -> EssVerdict:
-    """Ordered stability check of ``candidate`` against one ``mutant``.
+def ess_batch(instance: GameInstance, candidate: Strategy, mutants: list[Strategy]) -> list[EssVerdict | None]:
+    """Ordered stability checks of ``candidate``, one verdict per mutant.
 
-    Walks the number of mutant opponents m upward. The verdict passes at
-    the first m where the candidate's payoff strictly exceeds the mutant's,
-    provided the two tied (within ``EQUALITY_TOL`` * ``payoff_scale``) at
-    every smaller m. It fails if a mix strictly favors the mutant or if no
-    strict win appears by m = k - 1. Margins are (candidate - mutant) . v,
-    v being the mix's site payoffs, from two Bernstein evaluations per mix.
+    Walks the number of mutant opponents m upward over the mutants still tied
+    (within ``EQUALITY_TOL`` * ``payoff_scale``) at every smaller m; a verdict
+    passes at the first strict win and fails on a strict loss or on a tie at
+    m = k - 1. Margins are (candidate - mutant) . v, v being the mix's site
+    payoffs, with the candidate's kernel evaluated once per m for the batch.
+    A mutant within ``MIN_MUTANT_DISTANCE`` of the candidate in max-norm gets None.
     """
-    _check(mutant.size == candidate.size, "mutant: strategy size must match the candidate's")
-    difference = candidate.as_array() - mutant.as_array()
-    _check(
-        float(np.max(np.abs(difference))) > MIN_MUTANT_DISTANCE,
-        f"mutant: must differ from the candidate by more than {MIN_MUTANT_DISTANCE} in max-norm",
-    )
-    k, f = instance.players, instance.profile.as_array()
-    weights = instance.policy.weights(k)
-    margins: list[float] = []
+    _check(candidate.size == instance.sites, "candidate: strategy size must match the number of sites")
+    k, f, resident = instance.players, instance.profile.as_array(), candidate.as_array()
+    weights, verdicts, walking = instance.policy.weights(k), [None] * len(mutants), []
+    for i, mutant in enumerate(mutants):
+        _check(mutant.size == candidate.size, "mutant: strategy size must match the candidate's")
+        difference = resident - mutant.as_array()
+        if np.abs(difference).max() > MIN_MUTANT_DISTANCE:
+            walking.append((i, difference, []))
     for m in range(k):
+        if not walking:
+            break
         # With Y ~ Bin(m, mutant(x)) and B ~ Bin(k-m-1, candidate(x)), site x pays value(x) *
         # sum_y P(Y = y) E[C(1 + y + B)]; column y of the Hankel matrix weights[b + y] gives the E.
-        shifted = _bernstein(weights[np.add.outer(np.arange(k - m), np.arange(m + 1))])(candidate.as_array())
-        values = f * np.sum(shifted * _bernstein(np.eye(m + 1))(mutant.as_array()), axis=1)
-        margin, scale = float(difference @ values), instance.payoff_scale(values)
-        margins.append(margin)
-        if margin > STRICT_MARGIN * scale:
-            return EssVerdict(mutant=mutant, passed=True, witness_m=m, margins=tuple(margins))
-        if abs(margin) > EQUALITY_TOL * scale:
-            break
-    return EssVerdict(mutant=mutant, passed=False, witness_m=None, margins=tuple(margins))
+        shifted = _bernstein(weights[np.add.outer(np.arange(k - m), np.arange(m + 1))])(resident)
+        pmfs = _bernstein(np.eye(m + 1))(np.array([mutants[i].probs for i, _, _ in walking]))
+        for (i, difference, margins), values in zip(walking, f * (shifted * pmfs).sum(axis=2)):
+            margin, scale = float(difference @ values), instance.payoff_scale(values)
+            margins.append(margin)
+            won = margin > STRICT_MARGIN * scale
+            if won or abs(margin) > EQUALITY_TOL * scale or m == k - 1:
+                verdicts[i] = EssVerdict(mutant=mutants[i], passed=won, witness_m=m if won else None, margins=tuple(margins))
+        walking = [entry for entry in walking if verdicts[entry[0]] is None]
+    return verdicts
+
+
+def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: Strategy) -> EssVerdict:
+    """``ess_batch`` of the one ``mutant``, which must differ from ``candidate``."""
+    (verdict,) = ess_batch(instance, candidate, [mutant])
+    _check(verdict is not None, f"mutant: must differ from the candidate by more than {MIN_MUTANT_DISTANCE} in max-norm")
+    return verdict
 
 
 def _closed_form_inputs(profile, players, support_size, n_mutants, mutant):
     _count(players, "players", 3)
     _count(n_mutants, "n_mutants", 1, players - 2)
     _count(support_size, "support_size", 1, profile.size)
+    _check(mutant.size == profile.size, "mutant: strategy size must match the number of sites")
     probs = mutant.as_array()
     _check(
         not np.any(probs[support_size:] > SUPPORT_EPS),

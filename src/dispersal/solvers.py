@@ -199,8 +199,8 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     back within its tolerance, or a ``SolverError`` with diagnostics is raised.
 
     When value(2) / value(1) <= C(players), as under any constant policy, a
-    full collision at the first site pays at least a solo visit to the
-    second, and the point mass on the first site is returned at once.
+    full collision at the first site pays at least a solo visit to the second:
+    the point mass on the first site is finished at once, so tied top sites share it.
     """
     profile, players, policy = instance.profile, instance.players, instance.policy
     top = profile.values[0]
@@ -208,7 +208,7 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     weights = policy.weights(players)
     floor_weight = float(weights[-1])
     if f.size == 1 or f[1] <= floor_weight:
-        return verify_ifd(instance, Strategy.point_mass(1, instance.sites))
+        return verify_ifd(instance, _finish(f, np.eye(1, f.size)[0]))
     # Beside R, R' = (k-1) diff(C) in the degree k-2 basis, raised to R's degree k-1 (Farouki & Rajan 1987).
     j, steps = np.arange(players), np.pad(np.diff(weights), 1)
     kernel = _bernstein(np.column_stack((weights, j * steps[:-1] + (players - 1 - j) * steps[1:])))

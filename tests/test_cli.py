@@ -291,13 +291,16 @@ class TestEssCheck:
     def test_failures_are_listed(self, tmp_path, capsys):
         # Under a constant policy on tied values every strategy pays the
         # same, so no mix gives a strict win and every checked mutant fails.
+        # The equilibrium candidate gives the tied sites one share, (0.5, 0.5),
+        # so no generated mutant is near it and none is skipped.
         path = write_instance(tmp_path, values=[1.0, 1.0], players=3, policy={"type": "table", "table": [1.0, 1.0, 1.0]})
         code, out, _ = run(capsys, ["ess-check", "--instance", path, "--mutants", "4", "--seed", "1"])
         assert code == 0
         payload = json.loads(out)
-        assert (payload["checked"], payload["passed"], payload["failed"], payload["skipped"]) == (3, 0, 3, 1)
+        assert payload["candidate"] == [0.5, 0.5]
+        assert (payload["checked"], payload["passed"], payload["failed"], payload["skipped"]) == (4, 0, 4, 0)
         assert payload["all_passed"] is False
-        assert [failure["mutant_index"] for failure in payload["failures"]] == [1, 2, 3]
+        assert [failure["mutant_index"] for failure in payload["failures"]] == [0, 1, 2, 3]
         for failure in payload["failures"]:
             assert sorted(failure) == ["margins", "mutant", "mutant_index"]
             assert failure["margins"] == [0.0, 0.0, 0.0]
@@ -307,10 +310,10 @@ class TestEssCheck:
     def test_invaded_exclusive_optimum_exits_1(self, tmp_path, capsys, monkeypatch, policy, expected):
         # No generated mutant invades the exclusive optimum, so a verdict
         # that always fails stands in for one that does.
-        def invaded(instance, resident, mutant):
-            return EssVerdict(mutant=mutant, passed=False, witness_m=None, margins=(-1e-12, -0.5))
+        def invaded(instance, candidate, mutants):
+            return [EssVerdict(mutant=mutant, passed=False, witness_m=None, margins=(-1e-12, -0.5)) for mutant in mutants]
 
-        monkeypatch.setattr(cli, "ess_characterization", invaded)
+        monkeypatch.setattr(cli, "ess_batch", invaded)
         path = write_instance(tmp_path, policy={"type": policy})
         code, out, _ = run(capsys, ["ess-check", "--instance", path, "--mutants", "3", "--seed", "1"])
         assert code == expected

@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import log_uniform_profile, random_nonexclusive_table, random_strategy
 
@@ -23,7 +23,7 @@ from dispersal import (
     mutant_generator,
     solve_ifd,
 )
-from dispersal.ess import EQUALITY_TOL, MIN_MUTANT_DISTANCE, STRICT_MARGIN, project_to_simplex
+from dispersal.ess import EQUALITY_TOL, MIN_MUTANT_DISTANCE, STRICT_MARGIN, ess_batch, project_to_simplex
 
 TWO_SITES = ValueProfile((1.0, 0.5))
 
@@ -201,6 +201,14 @@ class TestEssCharacterization:
         with pytest.raises(ValidationError):
             ess_characterization(exclusive(TWO_SITES), optimum, optimum)
 
+    @pytest.mark.parametrize("values", [(1.0,), (1.0, 0.5, 0.2)])
+    def test_candidate_size_must_match_the_sites(self, values):
+        # Unchecked, one site gives a verdict for a two-site candidate and
+        # three sites fail to broadcast.
+        instance = GameInstance(ValueProfile(values), 3, CongestionPolicy.sharing())
+        with pytest.raises(ValidationError, match="candidate: strategy size"):
+            ess_characterization(instance, Strategy((0.5, 0.5)), Strategy((1.0, 0.0)))
+
     def test_sharing_equilibrium_verdict_is_well_formed(self):
         instance = GameInstance(TWO_SITES, 2, CongestionPolicy.sharing())
         candidate = solve_ifd(instance).strategy
@@ -254,6 +262,44 @@ class TestEssCharacterization:
         optimum = coverage_optimum(profile, players).strategy
         for mutant in mutant_generator(profile, players, seed=seed, count=20):
             assert ess_characterization(exclusive(profile, players), optimum, mutant).passed
+
+
+class TestEssBatch:
+    @settings(max_examples=60)
+    @given(
+        sites=st.integers(1, 6),
+        players=st.integers(2, 8),
+        kind=st.sampled_from(["exclusive", "sharing", "table"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(sites=6, players=40, kind="table", seed=11)
+    def test_each_entry_is_the_single_verdict(self, sites, players, kind, seed):
+        # One walk over the batch gives every mutant the verdict it gets on
+        # its own, margins bit for bit, and None where the single check
+        # rejects it as identical to the candidate.
+        rng = np.random.default_rng(seed)
+        profile = log_uniform_profile(rng, sites)
+        policy = random_nonexclusive_table(rng, players) if kind == "table" else CongestionPolicy(kind)
+        instance = GameInstance(profile, players, policy)
+        if kind == "exclusive":
+            candidate = coverage_optimum(profile, players).strategy
+        else:
+            candidate = solve_ifd(instance).strategy
+        mutants = mutant_generator(profile, players, seed, sites + 6) + [candidate]
+        verdicts = ess_batch(instance, candidate, mutants)
+        assert len(verdicts) == len(mutants) and verdicts[-1] is None
+        for mutant, verdict in zip(mutants, verdicts):
+            try:
+                expected = ess_characterization(instance, candidate, mutant)
+            except ValidationError:
+                expected = None
+            assert verdict == expected
+
+    def test_mutant_of_another_size_is_rejected(self):
+        instance = exclusive(TWO_SITES)
+        optimum = coverage_optimum(TWO_SITES, 2).strategy
+        with pytest.raises(ValidationError, match="mutant: strategy size"):
+            ess_batch(instance, optimum, [Strategy.point_mass(1, 2), Strategy.point_mass(1, 3)])
 
 
 @st.composite
@@ -393,6 +439,15 @@ class TestClosedForms:
             closed_form_resident_payoff(
                 profile, 3, result.support_size, result.normalizer, Strategy.point_mass(3, 3), 1
             )
+
+    @pytest.mark.parametrize("closed_form", [closed_form_resident_payoff, closed_form_mutant_payoff])
+    @pytest.mark.parametrize("probs", [(1.0,), (0.5, 0.5)])
+    def test_rejects_mutant_of_another_size(self, closed_form, probs):
+        # Unchecked, a one-site mutant pays 0.0 and a two-site one fails to broadcast.
+        profile = ValueProfile((1.0, 0.5, 0.2))
+        normalizer = coverage_optimum(profile, 3).normalizer
+        with pytest.raises(ValidationError, match="mutant: strategy size"):
+            closed_form(profile, 3, 3, normalizer, Strategy(probs), 1)
 
     def test_rejects_mutant_count_out_of_range(self):
         profile = ValueProfile((1.0, 0.5))

@@ -459,6 +459,13 @@ class TestFinish:
         assert report.strategy.probs[3] == pytest.approx(expected, abs=1e-5)
         assert report.passed and report.residual <= 1e-13
 
+    def test_tied_top_sites_share_the_point_mass(self):
+        # Under a constant table f(2)/f(1) <= C(k), so the point mass on the
+        # top site is the answer; unfinished, it would be (1, 0, 0).
+        report = solve_ifd(GameInstance(ValueProfile((1.0, 1.0, 0.5)), 3, CongestionPolicy.from_table((1.0, 1.0, 1.0))))
+        assert report.strategy == Strategy((0.5, 0.5, 0.0))
+        assert report.passed
+
 
 class TestPayoffScale:
     """Deep negative tails and long flat starts: every tolerance is relative
