@@ -26,12 +26,9 @@ from .game import (
 )
 from .solvers import coverage_optimum
 
-# Payoff differences inside this band count as the exact ties the
-# characterization demands; a difference must clear the strict margin to
-# count as a win. Both scale by the payoff_scale of the mix's site payoffs; the
-# margin sits below the band so that genuine strictness is separated from float noise.
+# A margin within EQUALITY_TOL times the bound on its payoff terms, plus the effect of a 1e-13
+# error in the candidate, is the exact tie the characterization demands; above it wins, below it loses.
 EQUALITY_TOL = 1e-10
-STRICT_MARGIN = 1e-12
 
 # Strategies closer than this in max-norm are treated as identical.
 MIN_MUTANT_DISTANCE = 1e-9
@@ -81,10 +78,10 @@ def ess_batch(instance: GameInstance, candidate: Strategy, mutants: list[Strateg
     """Ordered stability checks of ``candidate``, one verdict per mutant.
 
     Walks the number of mutant opponents m upward over the mutants still tied
-    (within ``EQUALITY_TOL`` * ``payoff_scale``) at every smaller m; a verdict
-    passes at the first strict win and fails on a strict loss or on a tie at
-    m = k - 1. Margins are (candidate - mutant) . v, v being the mix's site
-    payoffs, with the candidate's kernel evaluated once per m for the batch.
+    at every smaller m; a verdict passes at the first win and fails on a loss or
+    on a tie at m = k - 1. A margin (candidate - mutant) . v, v the mix's site
+    payoffs, wins above and loses below ``verify_ifd``'s band, with ``EQUALITY_TOL``
+    and the mix's term bounds; the candidate's kernel is evaluated once per m.
     A mutant within ``MIN_MUTANT_DISTANCE`` of the candidate in max-norm gets None.
     """
     _check(candidate.size == instance.sites, "candidate: strategy size must match the number of sites")
@@ -95,18 +92,25 @@ def ess_batch(instance: GameInstance, candidate: Strategy, mutants: list[Strateg
         difference = resident - mutant.as_array()
         if np.abs(difference).max() > MIN_MUTANT_DISTANCE:
             walking.append((i, difference, []))
+    own, bounds, slope = f * instance.kernel(resident).T  # m = 0: the candidate's own field, for every mutant
+    drift = 1e-13 * float(np.max(np.abs(slope)))
+    values, bands = np.broadcast_to(own, (len(walking), f.size)), [EQUALITY_TOL * float(np.max(bounds)) + drift] * len(walking)
     for m in range(k):
         if not walking:
             break
-        # With Y ~ Bin(m, mutant(x)) and B ~ Bin(k-m-1, candidate(x)), site x pays value(x) *
-        # sum_y P(Y = y) E[C(1 + y + B)]; column y of the Hankel matrix weights[b + y] gives the E.
-        shifted = _bernstein(weights[np.add.outer(np.arange(k - m), np.arange(m + 1))])(resident)
-        pmfs = _bernstein(np.eye(m + 1))(np.array([mutants[i].probs for i, _, _ in walking]))
-        for (i, difference, margins), values in zip(walking, f * (shifted * pmfs).sum(axis=2)):
-            margin, scale = float(difference @ values), instance.payoff_scale(values)
+        if m:
+            # With Y ~ Bin(m, mutant(x)) and B ~ Bin(k-m-1, candidate(x)), site x pays value(x) *
+            # sum_y P(Y = y) E[C(1 + y + B)]; column y of weights[b + y] gives the E, of |weights[b + y]| its bound.
+            hankel = weights[np.add.outer(np.arange(k - m), np.arange(m + 1))]
+            shifted = _bernstein(np.concatenate((hankel, np.abs(hankel)), axis=1))(resident)
+            pmfs = _bernstein(np.eye(m + 1))(np.array([mutants[i].probs for i, _, _ in walking]))
+            values = f * (shifted[:, : m + 1] * pmfs).sum(axis=2)
+            bands = (EQUALITY_TOL * (f * (shifted[:, m + 1 :] * pmfs).sum(axis=2)).max(axis=1) + drift).tolist()
+        for (i, difference, margins), payoffs, band in zip(walking, values, bands):
+            margin = float(difference @ payoffs)
             margins.append(margin)
-            won = margin > STRICT_MARGIN * scale
-            if won or abs(margin) > EQUALITY_TOL * scale or m == k - 1:
+            if abs(margin) > band or m == k - 1:
+                won = margin > band
                 verdicts[i] = EssVerdict(mutant=mutants[i], passed=won, witness_m=m if won else None, margins=tuple(margins))
         walking = [entry for entry in walking if verdicts[entry[0]] is None]
     return verdicts

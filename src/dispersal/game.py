@@ -15,6 +15,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -243,9 +244,13 @@ class GameInstance:
     def sites(self) -> int:
         return self.profile.size
 
-    def payoff_scale(self, payoffs: np.ndarray) -> float:
-        """max(f(1), max |payoffs|): C <= 1 keeps each payoff's rounding error to a few ulps of it; tolerances scale by it."""
-        return max(self.profile.values[0], float(np.max(np.abs(payoffs))))
+    @cached_property
+    def kernel(self):
+        """R(p) = E[C(1 + B)], B ~ Bin(k-1, p), its term bound E|C|(1 + B) and R'(p) from one ``_bernstein`` call; R' is
+        (k-1) diff(C) in the degree k-2 basis, raised to R's degree k-1 (Farouki & Rajan 1987)."""
+        weights, j = self.policy.weights(self.players), np.arange(self.players)
+        steps = np.pad(np.diff(weights), 1)
+        return _bernstein(np.column_stack((weights, np.abs(weights), j * steps[:-1] + (self.players - 1 - j) * steps[1:])))
 
 
 @dataclass(frozen=True)
@@ -331,15 +336,15 @@ def _bernstein(coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
     n, j = len(coeffs) - 1, np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
     log_comb = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j])
+    return partial(_bernstein_at, log_comb, j, n, coeffs[j])  # a partial pickles, as a cached kernel must
+
+
+def _bernstein_at(log_comb: np.ndarray, j: np.ndarray, n: int, coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
     # log 0 is floored to a finite value, so 0 * log 0 is 0 and n * log 0 still fits a float.
-    floor, coeffs = -sys.float_info.max / (n + 2), coeffs[j]
-
-    def evaluate(p: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_p, log_q = np.maximum(np.log(p), floor)[..., None], np.maximum(np.log1p(-p), floor)[..., None]
-        return np.exp(log_comb + j * log_p + (n - j) * log_q) @ coeffs
-
-    return evaluate
+    floor = -sys.float_info.max / (n + 2)
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.maximum(np.log(p), floor)[..., None], np.maximum(np.log1p(-p), floor)[..., None]
+    return np.exp(log_comb + j * log_p + (n - j) * log_q) @ coeffs
 
 
 def congestion_response(policy: CongestionPolicy, players: int, probs) -> np.ndarray:

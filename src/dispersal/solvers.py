@@ -121,7 +121,7 @@ def _pareto(f: np.ndarray, exponent: float) -> tuple[np.ndarray, float]:
 
 def _finish(f: np.ndarray, probs: np.ndarray) -> Strategy:
     """The strategy a solver returns: sites of equal value share their mean
-    probability, those at or below ``SUPPORT_EPS`` get 0, and the rest sum to 1.
+    probability, and all sum to 1.
 
     ``f`` is sorted, so equal values are adjacent; a mean is the group's first
     entry plus its mean deviation, which leaves equal entries exactly as they are.
@@ -131,7 +131,6 @@ def _finish(f: np.ndarray, probs: np.ndarray) -> Strategy:
         group = np.cumsum(starts) - 1
         first = probs[starts][group]
         probs = first + (np.bincount(group, probs - first) / np.bincount(group))[group]
-    probs[probs <= SUPPORT_EPS] = 0.0
     return Strategy.from_array(probs / probs.sum())
 
 
@@ -154,12 +153,14 @@ def verify_ifd(instance: GameInstance, strategy: Strategy) -> EquilibriumReport:
 
     Supported sites must share a common expected value and every
     unsupported site must fall strictly below it. Violations are reported
-    through ``residual``, never raised, against ``IFD_RESIDUAL_TOL`` times
-    the ``payoff_scale`` of the site values.
+    through ``residual``, never raised, against ``IFD_RESIDUAL_TOL`` times the
+    term bound max_x f(x) E|C|(1 + B_x) (Higham 2002, ch. 4) plus 1e-13 times
+    max_x f(x) |R'(p(x))|, the first-order effect of a 1e-13 error in p.
     """
-    values = site_values(instance, strategy)
-    tolerance = IFD_RESIDUAL_TOL * instance.payoff_scale(values)
+    _check(strategy.size == instance.sites, f"strategy: expected {instance.sites} entries, got {strategy.size}")
     probs = strategy.as_array()
+    values, bound, slope = instance.profile.as_array() * instance.kernel(probs).T
+    tolerance = IFD_RESIDUAL_TOL * float(np.max(bound)) + 1e-13 * float(np.max(np.abs(slope)))
     supported = probs > SUPPORT_EPS
     n_support = int(np.count_nonzero(supported))
     support_is_prefix = bool(np.all(supported[:n_support]) and not np.any(supported[n_support:]))
@@ -184,19 +185,19 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     """Symmetric equilibrium of the instance, found by bracketed Newton steps.
 
     The outer loop seeks the common site value nu in [C(players), 1], on the
-    values over value(1) so that no result depends on their unit, at which
-    the site probabilities sum to one; the inner loop solves each site's
-    probability from a tangent prediction, between those found at the two
-    ends of the outer bracket. A Newton step that would leave its bracket is
-    replaced by a bisection step. The loop starts from the Pareto shape
-    fitted to R(p) ~ (1 - p)^d, d = -R'(0), which is exact under the
-    exclusive policy, or, if d <= 0 or that start is not a normal float
-    inside the bracket, from its midpoint. If the bracket runs out before
-    the sum is one, the strategies at its two ends (the low end evaluated
-    first if no step did) are mixed to sum to one, or, below the normal
-    float range, a ``SolverError`` is raised. The strategy, finished as
-    ``coverage_optimum``'s is, is re-checked by ``verify_ifd`` and must come
-    back within its tolerance, or a ``SolverError`` with diagnostics is raised.
+    values over value(1) so that no result depends on their unit, at which the
+    site probabilities sum to one; the inner loop solves each site's probability
+    from a tangent prediction, between those found at the two ends of the outer
+    bracket, with R and R' from one ``instance.kernel`` call. A Newton step that
+    would leave its bracket is replaced by a bisection step. The loop starts
+    from the Pareto shape fitted to R(p) ~ (1 - p)^d, d = -R'(0), which is exact
+    under the exclusive policy, or, if d <= 0 or that start is not a normal
+    float inside the bracket, from its midpoint. If the bracket runs out before
+    the sum is one, the strategies at its two ends (the low end evaluated first
+    if no step did) are mixed to sum to one, or, below the normal float range, a
+    ``SolverError`` is raised. The strategy, finished as ``coverage_optimum``'s
+    is, is re-checked by ``verify_ifd`` and must come back within its tolerance,
+    or a ``SolverError`` with diagnostics is raised.
 
     When value(2) / value(1) <= C(players), as under any constant policy, a
     full collision at the first site pays at least a solo visit to the second:
@@ -205,13 +206,10 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     profile, players, policy = instance.profile, instance.players, instance.policy
     top = profile.values[0]
     f = profile.as_array() / top
-    weights = policy.weights(players)
+    weights, kernel = policy.weights(players), instance.kernel
     floor_weight = float(weights[-1])
     if f.size == 1 or f[1] <= floor_weight:
         return verify_ifd(instance, _finish(f, np.eye(1, f.size)[0]))
-    # Beside R, R' = (k-1) diff(C) in the degree k-2 basis, raised to R's degree k-1 (Farouki & Rajan 1987).
-    j, steps = np.arange(players), np.pad(np.diff(weights), 1)
-    kernel = _bernstein(np.column_stack((weights, j * steps[:-1] + (players - 1 - j) * steps[1:])))
 
     def site_probs(target: float, guess: np.ndarray, low: np.ndarray, high: np.ndarray):
         # Site x gets the p in [low, high] with f(x) R(p) = target, clamped to
@@ -225,7 +223,7 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         gradient = np.full(fa.size, np.nan)
         while not step <= INNER_P_TOL:  # a NaN guess makes a NaN step, not a stop
             evaluations += 1
-            value, gradient = fa * kernel(p).T
+            value, _, gradient = fa * kernel(p).T
             excess = value - target
             lo_p, hi_p = np.where(excess >= 0.0, p, lo_p), np.where(excess <= 0.0, p, hi_p)
             newton = p - excess / gradient

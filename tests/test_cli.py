@@ -271,6 +271,27 @@ class TestEssCheck:
         assert payload["passed"] == 100
         assert payload["all_passed"] is True
 
+    @pytest.mark.parametrize(
+        "values, players", [((1.0, 0.5), 30), ((1.0, 0.1), 30), ((1.0, 0.5, 0.25), 60), ((1.0, 0.9, 0.8, 0.7), 100)]
+    )
+    def test_small_common_values_do_not_invade_the_exclusive_optimum(self, tmp_path, capsys, values, players):
+        # The common value alpha^(k-1) f(1) is 1.3e-9 f(1) and less: a tie band
+        # floored at f(1) tied every mix, and 3, 7, 8 and 8 of the 20 mutants
+        # failed on the tie at m = k - 1.
+        path = write_instance(tmp_path, values=list(values), players=players)
+        code, out, _ = run(capsys, ["ess-check", "--instance", path, "--mutants", "20", "--seed", "0"])
+        payload = json.loads(out)
+        assert (code, payload["checked"], payload["failed"]) == (0, 20, 0)
+
+    def test_equilibrium_probability_below_support_eps_solves_and_is_stable(self, tmp_path, capsys):
+        # The equilibrium plays the second site with probability 1e-12; trimmed
+        # to 0, its point mass pays 0 at site 1 and 1e-12 at site 2.
+        path = write_instance(tmp_path, values=[1.0, 1e-12])
+        code, out, _ = run(capsys, ["solve", "--instance", path, "--mode", "ifd"])
+        assert code == 0 and json.loads(out)["support_size"] == 1
+        code, out, _ = run(capsys, ["ess-check", "--instance", path, "--mutants", "20", "--seed", "0"])
+        assert (code, json.loads(out)["failed"]) == (0, 0)
+
     def test_zero_mutants_rejected(self, tmp_path, capsys):
         path = write_instance(tmp_path)
         code, _, err = run(capsys, ["ess-check", "--instance", path, "--mutants", "0"])

@@ -23,7 +23,8 @@ from dispersal import (
     mutant_generator,
     solve_ifd,
 )
-from dispersal.ess import EQUALITY_TOL, MIN_MUTANT_DISTANCE, STRICT_MARGIN, ess_batch, project_to_simplex
+from dispersal.ess import EQUALITY_TOL, MIN_MUTANT_DISTANCE, ess_batch, project_to_simplex
+from dispersal.game import _bernstein, _collision_pmfs
 
 TWO_SITES = ValueProfile((1.0, 0.5))
 
@@ -45,20 +46,30 @@ def binomial_mix_of_pure_profiles(instance, focal, resident, mutant, epsilon):
 
 
 def two_dp_verdict(instance, candidate, mutant):
-    """The ordered walk with each margin the difference of two full payoff evaluations."""
-    k = instance.players
-    margins = []
+    """The ordered walk with each margin the difference of two full payoff evaluations.
+
+    Each band is EQUALITY_TOL times max_x f(x) E|C|(1 + N_x), N_x the opponents
+    at site x by the Poisson-binomial DP, plus 1e-13 times max_x f(x)
+    |R'(candidate(x))|, R' taken unelevated. Returns the verdict, its witness,
+    the margins and the bands.
+    """
+    k, f = instance.players, instance.profile.as_array()
+    weights = instance.policy.weights(k)
+    drift = 1e-13 * np.max(f * np.abs((k - 1) * _bernstein(np.diff(weights))(candidate.as_array())))
+    margins, bands = [], []
     for m in range(k):
         opponents = [candidate] * (k - m - 1) + [mutant] * m
         margins.append(
             expected_payoff_profile(instance, candidate, opponents)
             - expected_payoff_profile(instance, mutant, opponents)
         )
-        if margins[-1] > STRICT_MARGIN:
-            return True, m, margins
-        if abs(margins[-1]) > EQUALITY_TOL:
+        pmfs = _collision_pmfs(np.array([opponent.probs for opponent in opponents]))
+        bands.append(EQUALITY_TOL * np.max(f * (pmfs @ np.abs(weights))) + drift)
+        if margins[-1] > bands[-1]:
+            return True, m, margins, bands
+        if margins[-1] < -bands[-1]:
             break
-    return False, None, margins
+    return False, None, margins, bands
 
 
 class TestMixturePayoff:
@@ -153,12 +164,12 @@ class TestEssCharacterization:
                     if np.max(np.abs(mutant.as_array() - candidate.as_array())) <= MIN_MUTANT_DISTANCE:
                         continue
                     verdict = ess_characterization(instance, candidate, mutant)
-                    passed, witness_m, margins = two_dp_verdict(instance, candidate, mutant)
+                    passed, witness_m, margins, bands = two_dp_verdict(instance, candidate, mutant)
                     assert (verdict.passed, verdict.witness_m) == (passed, witness_m)
                     assert verdict.margins == pytest.approx(margins, rel=0, abs=1e-12 * profile.values[0])
                     compared += 1
                     walked += len(margins) > 1
-                    lost += margins[-1] < -EQUALITY_TOL
+                    lost += margins[-1] < -bands[-1]
         assert compared >= 200
         assert walked >= 80
         assert lost >= 40
@@ -262,6 +273,24 @@ class TestEssCharacterization:
         optimum = coverage_optimum(profile, players).strategy
         for mutant in mutant_generator(profile, players, seed=seed, count=20):
             assert ess_characterization(exclusive(profile, players), optimum, mutant).passed
+
+
+class TestExclusiveOptimumIsStable:
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8),
+        players=st.integers(2, 200),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(values=[1.0, 0.5], players=30, seed=0)
+    def test_no_generated_mutant_invades_at_many_players(self, values, players, seed):
+        # The common value alpha^(k-1) f(1) falls geometrically with k. A band
+        # floored at f(1) tied every mix once the margins fell below 1e-10 f(1),
+        # and the tie at m = k - 1 failed the verdict.
+        profile = ValueProfile(tuple(values))
+        optimum = coverage_optimum(profile, players).strategy
+        verdicts = ess_batch(exclusive(profile, players), optimum, mutant_generator(profile, players, seed, 20))
+        assert all(verdict is None or verdict.passed for verdict in verdicts)
 
 
 class TestEssBatch:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -213,11 +214,23 @@ class TestGameInstance:
         with pytest.raises(ValidationError):
             GameInstance(TWO_SITES, 3, CongestionPolicy.from_table((1.0, 0.5)))
 
-    @pytest.mark.parametrize("payoffs, scale", [((0.5, -1.0), 3.0), ((-3.0, 3.0), 3.0), ((1.0, -12.0), 12.0)])
-    def test_payoff_scale_is_f1_or_the_largest_payoff_magnitude(self, payoffs, scale):
-        # Only payoffs below -f(1), where C(l) < -1 is reached, widen it.
+    @pytest.mark.parametrize("p, columns", [(0.0, (1.0, 1.0, -6.0)), (0.5, (-1.75, 2.25, -5.0)), (1.0, (-4.0, 4.0, -4.0))])
+    def test_kernel_gives_r_its_term_bound_and_r_prime(self, p, columns):
+        # B ~ Bin(2, p): R = E[C(1 + B)], the term bound E|C|(1 + B) that
+        # every tie band scales by, and R' = 2 E[diff C(1 + Bin(1, p))] = 2p - 6.
         instance = GameInstance(ValueProfile((1.5, 3.0)), 3, CongestionPolicy.from_table((1.0, -2.0, -4.0)))
-        assert instance.payoff_scale(np.array(payoffs)) == scale
+        assert instance.kernel is instance.kernel  # built once per game
+        assert instance.kernel(np.array([p]))[0] == pytest.approx(columns, rel=1e-15, abs=0.0)
+
+
+    def test_instance_pickles_after_its_kernel_is_cached(self):
+        # Instances go to worker processes; the cached kernel must go with them.
+        instance = GameInstance(ValueProfile((1.0, 0.5)), 3, CongestionPolicy.sharing())
+        ps = np.array([0.0, 0.3, 1.0])
+        columns = instance.kernel(ps)
+        copy = pickle.loads(pickle.dumps(instance))
+        assert copy == instance
+        assert np.array_equal(copy.kernel(ps), columns)
 
 
 class TestPayoffSingle:

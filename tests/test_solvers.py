@@ -127,13 +127,26 @@ class TestVerifyIfd:
         assert not verify_ifd(instance, Strategy((0.5, 0.3, 0.2))).passed
 
     @pytest.mark.parametrize("floor", [0.0, -1.0, -1e6])
-    def test_tolerance_is_relative_to_payoff_scale(self, floor):
-        # The site values are 0.5 + floor and 0.25 + floor / 2, so below
-        # floor = -1 they, and their float resolution, grow with -floor.
+    def test_tolerance_is_relative_to_the_payoff_terms(self, floor):
+        # At p = 1/2, B ~ Bin(2, 1/2): the top site's term bound 2 E|C|(1 + B)
+        # is 0.5 - floor and 2 |R'(1/2)| is 2 (1 - floor), so the tolerance,
+        # like the float resolution of the site values, grows with -floor.
         instance = GameInstance(ValueProfile((2.0, 1.0)), 3, CongestionPolicy.from_table((1.0, 0.5 * floor, floor)))
         report = verify_ifd(instance, Strategy((0.5, 0.5)))
-        assert report.tolerance == solvers.IFD_RESIDUAL_TOL * instance.payoff_scale(np.array(report.site_values))
-        assert report.tolerance == pytest.approx(solvers.IFD_RESIDUAL_TOL * max(2.0, -0.5 - floor), rel=1e-12)
+        _, bound, slope = instance.profile.as_array() * instance.kernel(np.array([0.5, 0.5])).T
+        assert report.tolerance == solvers.IFD_RESIDUAL_TOL * np.max(bound) + 1e-13 * np.max(np.abs(slope))
+        expected = solvers.IFD_RESIDUAL_TOL * (0.5 - floor) + 2e-13 * (1.0 - floor)
+        assert report.tolerance == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("move", [None, 0.01])
+    def test_many_players_reject_what_the_common_value_cannot_tell_apart(self, move):
+        # The common value is about 1e-45, so a tolerance floored at f(1)
+        # passed both the uniform strategy and the optimum moved by 0.01.
+        profile = log_uniform_profile(np.random.default_rng(2020), 20)
+        optimum = coverage_optimum(profile, 2000).strategy.as_array()
+        strategy = np.full(20, 1 / 20) if move is None else optimum + move * np.r_[1.0, -1.0, np.zeros(18)]
+        assert verify_ifd(exclusive(profile, 2000), Strategy.from_array(optimum)).passed
+        assert not verify_ifd(exclusive(profile, 2000), Strategy.from_array(strategy)).passed
 
     def test_deep_tail_out_of_reach_keeps_tolerance(self):
         # C(20) = 1 - 1e9, but the uniform strategy crowds a site with all 20
@@ -146,12 +159,12 @@ class TestVerifyIfd:
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts the calls of every evaluator ``solvers._bernstein`` returns; one call gives R and R'."""
+    """Counts the calls of every evaluator ``GameInstance.kernel`` gives; one call gives R, its term bound and R'."""
     count = [0]
-    bernstein = solvers._bernstein
+    build = GameInstance.kernel.func
 
-    def counting_bernstein(coeffs):
-        evaluate = bernstein(coeffs)
+    def counting_kernel(instance):
+        evaluate = build(instance)
 
         def counted(p):
             count[0] += 1
@@ -159,7 +172,7 @@ def evaluations(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(solvers, "_bernstein", counting_bernstein)
+    monkeypatch.setattr(GameInstance, "kernel", property(counting_kernel))
     return count
 
 
@@ -204,9 +217,10 @@ class TestSolveIfd:
     def test_clamped_top_site_is_returned_without_kernel_evaluations(self, evaluations, values, players, policy):
         # With f(2) / f(1) <= C(k) a full collision on the first site still
         # pays as much as the second site alone: the point mass is the IFD.
+        # The one evaluation is verify_ifd's check of it.
         instance = GameInstance(ValueProfile(values), players, policy)
         report = solve_ifd(instance)
-        assert evaluations[0] == 0
+        assert (report.evaluations, evaluations[0]) == (0, 1)
         assert report.strategy == Strategy.point_mass(1, len(values))
         assert report.passed
         assert np.max(np.abs(report.strategy.as_array() - nested_bisection_ifd(instance))) <= 1e-9
@@ -251,7 +265,8 @@ class TestSolveIfd:
     def test_report_counts_its_work(self, evaluations, values, players, policy):
         instance = GameInstance(ValueProfile(values), players, policy)
         report = solve_ifd(instance)
-        assert report.evaluations == evaluations[0] >= report.iterations >= 1
+        # verify_ifd's check of the result takes one evaluation more.
+        assert report.evaluations + 1 == evaluations[0] and report.evaluations >= report.iterations >= 1
         # The counts are not part of the report's value, and a check alone does no solve.
         checked = verify_ifd(instance, report.strategy)
         assert (checked.iterations, checked.evaluations) == (0, 0)
@@ -277,13 +292,12 @@ class TestSolveIfd:
         assert np.max(np.abs(report.strategy.as_array() - nested_bisection_ifd(instance))) <= 1e-9
 
     @pytest.mark.parametrize("players", [2, 3, 8, 40, 300, 2000])
-    def test_derivative_column_is_the_elevated_bernstein_derivative(self, monkeypatch, players):
+    def test_derivative_column_is_the_elevated_bernstein_derivative(self, players):
         # R' is k-1 times the degree k-2 Bernstein form of diff(C); the
-        # solver evaluates it raised to degree k-1, next to R. The two sides
-        # take log C(n, j) from lgamma values of size k ln k, so they agree
-        # to about k ln k ulps, which is below 1e-13 up to k = 100.
-        matrices = []
-        monkeypatch.setattr(solvers, "_bernstein", lambda coeffs: matrices.append(coeffs) or _bernstein(coeffs))
+        # kernel the solver steps on evaluates it raised to degree k-1, next
+        # to R and its term bound. The two sides take log C(n, j) from lgamma
+        # values of size k ln k, so they agree to about k ln k ulps, which is
+        # below 1e-13 up to k = 100.
         rng = np.random.default_rng(players)
         profile = log_uniform_profile(rng, 20)
         tail = np.sort(rng.uniform(-0.5, 0.9, players - 1))[::-1]
@@ -291,12 +305,10 @@ class TestSolveIfd:
         tolerance = max(1e-13, 2 * players * math.log(players) * np.finfo(float).eps)
         table = CongestionPolicy.from_table([1.0, *tail])
         for policy in (CongestionPolicy.exclusive(), CongestionPolicy.sharing(), table):
-            matrices.clear()
-            solve_ifd(GameInstance(profile, players, policy))
-            (coeffs,) = matrices
+            value, bound, derivative = GameInstance(profile, players, policy).kernel(ps).T
             weights = policy.weights(players)
-            value, derivative = _bernstein(coeffs)(ps).T
             assert value == pytest.approx(_bernstein(weights)(ps), rel=1e-15, abs=0.0)
+            assert bound == pytest.approx(_bernstein(np.abs(weights))(ps), rel=1e-15, abs=0.0)
             assert derivative == pytest.approx(_bernstein((players - 1) * np.diff(weights))(ps), rel=tolerance, abs=0.0)
 
     @pytest.mark.parametrize(
@@ -430,16 +442,27 @@ def deep_and_flat_instances(draw):
 
 class TestFinish:
     """Both solvers return through ``_finish``: equal values share their mean
-    probability, entries at or below ``SUPPORT_EPS`` become 0, and the rest
-    sum to one."""
+    probability, and all entries, however small, are kept and sum to one."""
 
-    def test_trims_renormalizes_and_averages_ties(self):
+    def test_renormalizes_and_averages_ties_without_trimming(self):
+        # The last entry stays: a trim to 0 at SUPPORT_EPS turned the (1, 1e-12)
+        # equilibrium into a point mass that fails its own check.
         f = np.array([1.0, 0.5, 0.5, 0.2, 0.1])
         probs = np.array([0.5, 0.3, 0.2, 1e-3, SUPPORT_EPS])
         strategy = solvers._finish(f, probs)
-        assert strategy.probs == pytest.approx(np.array([0.5, 0.25, 0.25, 1e-3, 0.0]) / 1.001, abs=1e-15)
+        assert strategy.probs == pytest.approx(np.array([0.5, 0.25, 0.25, 1e-3, SUPPORT_EPS]) / (1.001 + SUPPORT_EPS), abs=1e-15)
+        assert strategy.probs[4] > 0.0
         assert strategy.probs[1] == strategy.probs[2]
         assert strategy.support() == (1, 2, 3, 4)
+
+    def test_tiny_equilibrium_probability_is_kept(self):
+        # f(2) = 1e-12 f(1) at k = 2: the equilibrium plays site 2 with
+        # probability 1 / (1e12 + 1), below SUPPORT_EPS; it is 1 minus a
+        # rounded p(1), so only its first digits are exact.
+        profile = ValueProfile((1.0, 1e-12))
+        for report in (solve_ifd(exclusive(profile)), verify_ifd(exclusive(profile), coverage_optimum(profile, 2).strategy)):
+            assert report.passed
+            assert report.strategy.probs[1] == pytest.approx(1e-12, rel=1e-3, abs=0.0)
 
     def test_equal_entries_are_kept_bit_for_bit(self):
         # A mean of equal floats could round away from them; the first entry
@@ -469,7 +492,7 @@ class TestFinish:
 
 class TestPayoffScale:
     """Deep negative tails and long flat starts: every tolerance is relative
-    to ``payoff_scale`` = max(f(1), max |site value|)."""
+    to the payoff terms, max_x f(x) E|C|(1 + B_x)."""
 
     @pytest.mark.parametrize(
         "values, players, slope",
@@ -479,7 +502,8 @@ class TestPayoffScale:
         instance = GameInstance(ValueProfile(values), players, linear_table(players, slope))
         report = solve_ifd(instance)
         assert report.common_value < 0.0
-        assert report.residual <= 1e-13 * instance.payoff_scale(np.array(report.site_values))
+        bound = instance.profile.as_array() * instance.kernel(report.strategy.as_array())[:, 1]
+        assert report.residual <= 1e-13 * np.max(bound)
 
     @pytest.mark.parametrize(
         "values, slope, flat",
@@ -591,7 +615,8 @@ class TestParetoStart:
         profile = ValueProfile(tuple(v * 10.0**scale for v in values))
         evaluations[0] = 0
         report = solve_ifd(exclusive(profile, players))
-        assert evaluations[0] == 1
+        # One Newton step, and verify_ifd's check of its result.
+        assert (report.evaluations, evaluations[0]) == (1, 2)
         optimum = coverage_optimum(profile, players).strategy.as_array()
         assert np.max(np.abs(report.strategy.as_array() - optimum)) <= 1e-12
 
