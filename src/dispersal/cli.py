@@ -26,6 +26,7 @@ from .game import (
     ValueProfile,
     _check,
     _count,
+    _number,
     coverage,
 )
 from .montecarlo import SimConfig, SimReport, simulate
@@ -206,6 +207,7 @@ def cmd_ess_check(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 0.0 < args.f2 <= 1.0:
         raise ValidationError(f"--f2: must lie in (0, 1], got {args.f2}")
+    args.c_min, args.c_max = _number(args.c_min, "--c-min"), _number(args.c_max, "--c-max")
     if args.c_max >= 1.0 or args.c_min >= 1.0:
         raise ValidationError("--c-min/--c-max: competition weight must stay below 1")
     if args.c_max < args.c_min:

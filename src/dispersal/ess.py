@@ -22,6 +22,8 @@ from .game import (
     _bernstein,
     _check,
     _count,
+    _number,
+    _numbers,
     site_values,
 )
 from .solvers import coverage_optimum
@@ -67,6 +69,7 @@ def mixture_payoff(
     field, whose payoff is ``focal`` dotted with its site values. At epsilon
     0 or 1 it is the corresponding pure profile.
     """
+    epsilon = _number(epsilon, "epsilon")
     _check(0.0 <= epsilon <= 1.0, f"epsilon: must lie in [0, 1], got {epsilon}")
     _check(resident.size == mutant.size, "mutant: strategy size must match the resident's")
     _check(focal.size == instance.sites, "focal: strategy size must match the number of sites")
@@ -192,9 +195,8 @@ def invasion_sweep(
     against the mixed population; useful for locating the invasion
     threshold below which the resident wins.
     """
-    rows = []
-    for eps in epsilons:
-        eps = float(eps)
+    rows, entries = [], tuple(epsilons)
+    for eps in _numbers(entries, "epsilons") if entries else ():
         _check(0.0 < eps < 1.0, f"epsilons: entries must lie in (0, 1), got {eps}")
         rows.append((eps, *(mixture_payoff(instance, focal, resident, mutant, eps) for focal in (resident, mutant))))
     return rows

@@ -71,6 +71,14 @@ def _numbers(values, name: str) -> tuple[float, ...]:
     return floats
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a finite float: ``_numbers`` of the one entry, whose errors name ``name`` alone."""
+    try:
+        return _numbers((value,), name)[0]
+    except ValidationError as exc:
+        raise ValidationError(str(exc).replace(f"{name}[0]", name, 1)) from None
+
+
 def _count(value, name: str, low: int, high: int | None = None) -> None:
     """Check that ``value`` is an integer in [low, high]; the one check of integer counts.
 
@@ -347,28 +355,17 @@ def _bernstein_at(log_comb: np.ndarray, j: np.ndarray, n: int, coeffs: np.ndarra
     return np.exp(log_comb + j * log_p + (n - j) * log_q) @ coeffs
 
 
-def congestion_response(policy: CongestionPolicy, players: int, probs) -> np.ndarray:
-    """Expected congestion weight at sites selected with probabilities ``probs``.
-
-    For each entry p, returns E[C(1 + B)] where B ~ Binomial(players - 1, p)
-    counts co-selecting opponents in a symmetric field. Decreasing in p
-    whenever C is non-constant on 1..players.
-    """
-    return _bernstein(policy.weights(players))(np.asarray(probs, dtype=float))
-
-
 def site_values(instance: GameInstance, strategy: Strategy) -> np.ndarray:
     """Expected payoff of committing to each site against a symmetric field.
 
-    Entry x is value(x) * E[C(1 + B_x)] with B_x the binomial count of the
-    k-1 opponents (each playing ``strategy``) that land on site x.
+    Entry x is value(x) * E[C(1 + B_x)], read from ``instance.kernel``, with B_x
+    the binomial count of the k-1 opponents (each playing ``strategy``) at site x.
     """
     _check(
         strategy.size == instance.sites,
         f"strategy: expected {instance.sites} entries, got {strategy.size}",
     )
-    f = instance.profile.as_array()
-    return f * congestion_response(instance.policy, instance.players, strategy.as_array())
+    return instance.profile.as_array() * instance.kernel(strategy.as_array())[:, 0]
 
 
 def site_value(instance: GameInstance, strategy: Strategy, site: int) -> float:

@@ -21,9 +21,9 @@ from .game import (
     GameInstance,
     Strategy,
     ValueProfile,
-    _bernstein,
     _check,
     _count,
+    _number,
     coverage,
     site_values,
 )
@@ -336,11 +336,10 @@ def welfare_optimum(instance: GameInstance) -> WelfareOptimum:
     local grids down to ``WELFARE_REFINE_STEP``, each site moving by up to
     ``WELFARE_REFINE_WINDOW`` steps and the moves summing to zero.
     """
-    f = instance.profile.as_array()[:, None]
-    response = _bernstein(instance.policy.weights(instance.players))
+    f, kernel = instance.profile.as_array()[:, None], instance.kernel
     n = round(1.0 / WELFARE_GRID_STEP)
     units = np.arange(n + 1) / n
-    probs = _allocate_units(f * (units * response(units))) / n
+    probs = _allocate_units(f * (units * kernel(units)[:, 0])) / n
     # Site x takes u of the w * M units, the move u - w; a lone site keeps
     # all w, the zero move, so the table is at least one site's moves wide.
     moves = np.arange(-WELFARE_REFINE_WINDOW, WELFARE_REFINE_WINDOW + 1)
@@ -350,7 +349,7 @@ def welfare_optimum(instance: GameInstance) -> WelfareOptimum:
     while step >= WELFARE_REFINE_STEP:
         local = probs[:, None] + step * moves
         inside = (local >= 0.0) & (local <= 1.0)
-        gain[:, : moves.size] = np.where(inside, f * (local * response(np.clip(local, 0.0, 1.0))), -np.inf)
+        gain[:, : moves.size] = np.where(inside, f * (local * kernel(np.clip(local, 0.0, 1.0))[..., 0]), -np.inf)
         probs = probs + step * moves[_allocate_units(gain[:, :width])]
         step /= 2
     strategy = Strategy.from_array(probs)
@@ -368,7 +367,8 @@ def coverage_grid_oracle(profile: ValueProfile, players: int, grid_step: float) 
     m = profile.size
     _check(m <= 4, f"profile: grid oracle supports at most 4 sites, got {m}")
     _count(players, "players", 1)
-    n = round(1.0 / grid_step)
+    grid_step = _number(grid_step, "grid_step")
+    n = round(1.0 / grid_step) if grid_step and np.isfinite(1.0 / grid_step) else 0
     _check(n >= 1 and abs(n * grid_step - 1.0) < 1e-9, f"grid_step: must evenly divide 1, got {grid_step}")
     f = profile.as_array()
     units = np.arange(n + 1) / n

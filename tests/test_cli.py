@@ -415,6 +415,15 @@ class TestSweep:
         assert code == 2
         assert err == "error: --c-max: must be >= --c-min\n"
 
+    @pytest.mark.parametrize(("bound", "other"), [("--c-min=-inf", "--c-max=0.5"), ("--c-min=nan", "--c-max=0.5"),
+                                                  ("--c-max=nan", "--c-min=0.0")])
+    def test_weights_must_be_finite_and_errors_name_the_flag(self, capsys, tmp_path, bound, other):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, ["sweep", "--f2", "0.5", bound, other, "--steps", "5", "--out", str(out)])
+        assert code == 2
+        assert err == f"error: {bound.split('=')[0]}: must be finite\n"
+        assert not out.exists()
+
     def test_f2_must_be_positive(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,

@@ -123,6 +123,16 @@ class TestMixturePayoff:
         with pytest.raises(ValidationError):
             mixture_payoff(instance, s, s, s, 1.5)
 
+    @pytest.mark.parametrize(
+        ("epsilon", "message"),
+        [(True, "epsilon: must be a number"), ("0.5", "epsilon: must be a number"), (float("nan"), "epsilon: must be finite")],
+    )
+    def test_epsilon_is_a_finite_number(self, epsilon, message):
+        s = Strategy((0.5, 0.5))
+        with pytest.raises(ValidationError) as error:
+            mixture_payoff(exclusive(TWO_SITES), s, s, s, epsilon)
+        assert str(error.value) == message
+
 
 class TestEssCharacterization:
     def test_point_mass_challenger_loses_once_mutants_meet(self):
@@ -516,6 +526,24 @@ class TestInvasionSweep:
         s = Strategy((0.5, 0.5))
         with pytest.raises(ValidationError):
             invasion_sweep(instance, s, s, [0.0])
+
+    @pytest.mark.parametrize(
+        ("epsilons", "message"),
+        [
+            ("0.5", "epsilons[0]: must be a number"),
+            ([0.1, True], "epsilons[1]: must be a number"),
+            ([0.1, float("nan")], "epsilons[1]: must be finite"),
+        ],
+    )
+    def test_epsilons_are_finite_numbers(self, epsilons, message):
+        s = Strategy((0.5, 0.5))
+        with pytest.raises(ValidationError) as error:
+            invasion_sweep(exclusive(TWO_SITES), s, s, epsilons)
+        assert str(error.value) == message
+
+    def test_no_epsilons_give_no_rows(self):
+        s = Strategy((0.5, 0.5))
+        assert invasion_sweep(exclusive(TWO_SITES), s, s, []) == []
 
 
 class TestMutantGenerator:

@@ -17,16 +17,19 @@ from dispersal import (
     closed_form_mutant_payoff,
     closed_form_resident_payoff,
     collision_distribution,
-    congestion_response,
     coverage,
     coverage_grid_oracle,
     coverage_optimum,
     expected_payoff_profile,
+    invasion_sweep,
     miss_weight,
+    mixture_payoff,
     mutant_generator,
     payoff_single,
     site_value,
     site_values,
+    symmetric_payoff,
+    welfare_optimum,
 )
 from dispersal.game import MAX_PLAYERS, _bernstein
 
@@ -149,7 +152,6 @@ INTEGER_ARGUMENTS = [
          MAX_PLAYERS, MAX_PLAYERS + 1),
     case("GameInstance_huge", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, 2, 2, 10**30),
     case("weights", "players", lambda v: SHARING.weights(v).tolist(), 2, [1.0, 0.5], 0),
-    case("congestion_response", "players", lambda v: congestion_response(SHARING, v, [1.0]).tolist(), 2, [0.5], 0),
     case("closed_forms", "players", lambda v: closed_forms(3, players=v), 3, closed_forms_direct(3, 1), 2),
     case("sharing.at", "occupancy", lambda v: SHARING.at(v), 2, 0.5, 0),
     case("table.at", "occupancy", lambda v: CongestionPolicy.from_table((1.0, 0.5)).at(v), 2, 0.5, 0),
@@ -333,10 +335,10 @@ class TestSiteValue:
                 CongestionPolicy.sharing(),
                 CongestionPolicy.from_table(np.linspace(1.0, -0.5, players)),
             ):
-                w = policy.weights(players)
+                w, kernel = policy.weights(players), GameInstance(TWO_SITES, players, policy).kernel
                 power = sum(math.comb(players - 1, j) * ps**j * (1 - ps) ** (players - 1 - j) * w[j] for j in range(players))
-                assert congestion_response(policy, players, ps) == pytest.approx(power, rel=1e-12, abs=1e-15)
-                central = (congestion_response(policy, players, inner + h) - congestion_response(policy, players, inner - h)) / (2 * h)
+                assert kernel(ps)[:, 0] == pytest.approx(power, rel=1e-12, abs=1e-15)
+                central = (kernel(inner + h)[:, 0] - kernel(inner - h)[:, 0]) / (2 * h)
                 assert _bernstein((players - 1) * np.diff(w))(inner) == pytest.approx(central, rel=1e-6, abs=1e-9)
 
     def test_matrix_columns_match_vector_evaluations(self):
@@ -359,6 +361,53 @@ class TestSiteValue:
         low = site_value(instance, Strategy((0.2, 0.8)), 1)
         high = site_value(instance, Strategy((0.7, 0.3)), 1)
         assert high < low
+
+
+KERNEL_POLICIES = [
+    pytest.param(lambda k: CongestionPolicy.exclusive(), id="exclusive"),
+    pytest.param(lambda k: CongestionPolicy.sharing(), id="sharing"),
+    pytest.param(lambda k: CongestionPolicy.from_table(np.linspace(1.0, 0.0, k)), id="table"),
+]
+
+
+class TestOneKernelPerGame:
+    """Every payoff on a symmetric field reads the game's cached kernel, so no
+    R evaluator is built after it, and the values are those of the vector path."""
+
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    def test_payoffs_and_welfare_build_no_evaluator(self, monkeypatch, policy):
+        builds = []
+
+        def counted(coeffs):
+            builds.append(np.shape(coeffs))
+            return _bernstein(coeffs)
+
+        for module in ("dispersal.game", "dispersal.ess"):
+            monkeypatch.setattr(f"{module}._bernstein", counted)
+        monkeypatch.setattr("dispersal.solvers._bernstein", counted, raising=False)
+        instance = GameInstance(ValueProfile((1.0, 0.6, 0.3)), 4, policy(4))
+        instance.kernel
+        assert builds == [(4, 3)]  # the patch sees the kernel's own build
+        resident, mutant = Strategy((0.5, 0.3, 0.2)), Strategy.point_mass(1, 3)
+        site_values(instance, resident)
+        site_value(instance, resident, 2)
+        symmetric_payoff(instance, resident)
+        mixture_payoff(instance, resident, resident, mutant, 0.25)
+        invasion_sweep(instance, resident, mutant, [0.1, 0.5])
+        welfare_optimum(instance)
+        assert builds == [(4, 3)]
+
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    @pytest.mark.parametrize("players", [2, 3, 8, 40, 300, 2000])
+    def test_site_values_match_the_vector_path(self, policy, players):
+        rng = np.random.default_rng(players)
+        for sites in (1, 2, 20, 200):
+            profile = log_uniform_profile(rng, sites, low=0.1)
+            instance = GameInstance(profile, players, policy(players))
+            vector = _bernstein(instance.policy.weights(players))
+            for strategy in (Strategy.uniform(sites), Strategy.point_mass(1, sites), random_strategy(rng, sites)):
+                expected = profile.as_array() * vector(strategy.as_array())
+                assert site_values(instance, strategy) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestExpectedPayoffProfile:

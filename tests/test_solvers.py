@@ -798,6 +798,23 @@ class TestCoverageGridOracle:
         with pytest.raises(ValidationError):
             coverage_grid_oracle(ValueProfile((1.0,) * 5), 2, 1e-3)
 
+    @pytest.mark.parametrize(
+        ("step", "message"),
+        [
+            (0.0, "grid_step: must evenly divide 1, got 0.0"),
+            (5e-324, "grid_step: must evenly divide 1, got 5e-324"),
+            (-0.5, "grid_step: must evenly divide 1, got -0.5"),
+            (math.nan, "grid_step: must be finite"),
+            (math.inf, "grid_step: must be finite"),
+            (True, "grid_step: must be a number"),
+            ("0.5", "grid_step: must be a number"),
+        ],
+    )
+    def test_step_is_a_number_whose_reciprocal_is_a_finite_integer(self, step, message):
+        with pytest.raises(ValidationError) as error:
+            coverage_grid_oracle(TWO_SITES, 2, step)
+        assert str(error.value) == message
+
     def test_matches_literal_enumeration_on_coarse_grid(self):
         profile = ValueProfile((1.0, 0.6, 0.2))
         players = 3
