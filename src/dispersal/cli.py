@@ -27,6 +27,7 @@ from .game import (
     _check,
     _count,
     _number,
+    _sized,
     coverage,
 )
 from .montecarlo import SimConfig, SimReport, simulate
@@ -240,7 +241,7 @@ def _strategy_from_file(path: str, sites: int) -> Strategy:
     try:
         _check(isinstance(raw, list), "strategy file must hold a list of probabilities")
         strategy = Strategy(tuple(raw))
-        _check(strategy.size == sites, f"expected {sites} probabilities, got {strategy.size}")
+        _sized(strategy, sites, "probs")
         return strategy
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

@@ -24,6 +24,7 @@ from .game import (
     _count,
     _number,
     _numbers,
+    _sized,
     site_values,
 )
 from .solvers import coverage_optimum
@@ -71,10 +72,9 @@ def mixture_payoff(
     """
     epsilon = _number(epsilon, "epsilon")
     _check(0.0 <= epsilon <= 1.0, f"epsilon: must lie in [0, 1], got {epsilon}")
-    _check(resident.size == mutant.size, "mutant: strategy size must match the resident's")
-    _check(focal.size == instance.sites, "focal: strategy size must match the number of sites")
-    mixed = Strategy.from_array((1.0 - epsilon) * resident.as_array() + epsilon * mutant.as_array())
-    return float(focal.as_array() @ site_values(instance, mixed))
+    resident_probs, mutant_probs = _sized(resident, instance.sites, "resident"), _sized(mutant, instance.sites, "mutant")
+    mixed = Strategy.from_array((1.0 - epsilon) * resident_probs + epsilon * mutant_probs)
+    return float(_sized(focal, instance.sites, "focal") @ site_values(instance, mixed))
 
 
 def ess_batch(instance: GameInstance, candidate: Strategy, mutants: list[Strategy]) -> list[EssVerdict | None]:
@@ -87,12 +87,10 @@ def ess_batch(instance: GameInstance, candidate: Strategy, mutants: list[Strateg
     and the mix's term bounds; the candidate's kernel is evaluated once per m.
     A mutant within ``MIN_MUTANT_DISTANCE`` of the candidate in max-norm gets None.
     """
-    _check(candidate.size == instance.sites, "candidate: strategy size must match the number of sites")
-    k, f, resident = instance.players, instance.profile.as_array(), candidate.as_array()
+    k, f, resident = instance.players, instance.profile.as_array(), _sized(candidate, instance.sites, "candidate")
     weights, verdicts, walking = instance.policy.weights(k), [None] * len(mutants), []
     for i, mutant in enumerate(mutants):
-        _check(mutant.size == candidate.size, "mutant: strategy size must match the candidate's")
-        difference = resident - mutant.as_array()
+        difference = resident - _sized(mutant, instance.sites, "mutant")
         if np.abs(difference).max() > MIN_MUTANT_DISTANCE:
             walking.append((i, difference, []))
     own, bounds, slope = f * instance.kernel(resident).T  # m = 0: the candidate's own field, for every mutant
@@ -130,15 +128,12 @@ def _closed_form_inputs(profile, players, support_size, n_mutants, mutant):
     _count(players, "players", 3)
     _count(n_mutants, "n_mutants", 1, players - 2)
     _count(support_size, "support_size", 1, profile.size)
-    _check(mutant.size == profile.size, "mutant: strategy size must match the number of sites")
-    probs = mutant.as_array()
+    probs = _sized(mutant, profile.size, "mutant")
     _check(
         not np.any(probs[support_size:] > SUPPORT_EPS),
         f"mutant: must be supported within the first {support_size} sites",
     )
-    f = profile.as_array()[:support_size]
-    one_minus = 1.0 - probs[:support_size]
-    return f, one_minus
+    return profile.as_array()[:support_size], 1.0 - probs[:support_size]
 
 
 def closed_form_resident_payoff(
@@ -191,20 +186,22 @@ def invasion_sweep(
 ) -> list[tuple[float, float, float]]:
     """Resident and mutant payoffs across a grid of mutant proportions.
 
-    For each epsilon returns (epsilon, resident payoff, mutant payoff)
-    against the mixed population; useful for locating the invasion
-    threshold below which the resident wins.
+    For each epsilon returns (epsilon, resident payoff, mutant payoff), both
+    dotted with one ``site_values`` of the mixed population; useful for
+    locating the invasion threshold below which the resident wins.
     """
+    resident_probs, mutant_probs = _sized(resident, instance.sites, "resident"), _sized(mutant, instance.sites, "mutant")
     rows, entries = [], tuple(epsilons)
     for eps in _numbers(entries, "epsilons") if entries else ():
         _check(0.0 < eps < 1.0, f"epsilons: entries must lie in (0, 1), got {eps}")
-        rows.append((eps, *(mixture_payoff(instance, focal, resident, mutant, eps) for focal in (resident, mutant))))
+        values = site_values(instance, Strategy.from_array((1.0 - eps) * resident_probs + eps * mutant_probs))
+        rows.append((eps, float(resident_probs @ values), float(mutant_probs @ values)))
     return rows
 
 
 def project_to_simplex(point) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex."""
-    v = np.asarray(point, dtype=float)
+    v = np.asarray(_numbers(point, "point"))
     sorted_desc = np.sort(v)[::-1]
     cumulative = np.cumsum(sorted_desc) - 1.0
     positions = np.arange(1, v.size + 1)

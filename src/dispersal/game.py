@@ -90,6 +90,13 @@ def _count(value, name: str, low: int, high: int | None = None) -> None:
         raise ValidationError(f"{name}: must be an integer {bounds}, got {value!r}")
 
 
+def _sized(strategy: Strategy, sites: int, name: str) -> np.ndarray:
+    """``strategy``'s probabilities, checked to number ``sites``; the one check of a strategy's size."""
+    if strategy.size != sites:
+        raise ValidationError(f"{name}: expected {sites} entries, got {strategy.size}")
+    return strategy.as_array()
+
+
 @dataclass(frozen=True)
 class ValueProfile:
     """Site values, canonicalized to non-increasing order.
@@ -216,6 +223,7 @@ class Strategy:
 
     @classmethod
     def uniform(cls, size: int) -> "Strategy":
+        _count(size, "size", 1)
         return cls((1.0 / size,) * size)
 
     @classmethod
@@ -361,11 +369,7 @@ def site_values(instance: GameInstance, strategy: Strategy) -> np.ndarray:
     Entry x is value(x) * E[C(1 + B_x)], read from ``instance.kernel``, with B_x
     the binomial count of the k-1 opponents (each playing ``strategy``) at site x.
     """
-    _check(
-        strategy.size == instance.sites,
-        f"strategy: expected {instance.sites} entries, got {strategy.size}",
-    )
-    return instance.profile.as_array() * instance.kernel(strategy.as_array())[:, 0]
+    return instance.profile.as_array() * instance.kernel(_sized(strategy, instance.sites, "strategy"))[:, 0]
 
 
 def site_value(instance: GameInstance, strategy: Strategy, site: int) -> float:
@@ -381,32 +385,26 @@ def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) 
     the occupancy distribution is the exact Poisson binomial of the
     opponents' selection probabilities.
     """
-    _check(focal.size == instance.sites, "focal: strategy size must match the number of sites")
+    probs = _sized(focal, instance.sites, "focal")
     opponents = list(opponents)
     _check(
         len(opponents) == instance.players - 1,
         f"opponents: expected {instance.players - 1} strategies, got {len(opponents)}",
     )
-    for j, opp in enumerate(opponents):
-        _check(opp.size == instance.sites, f"opponents[{j}]: strategy size must match the number of sites")
-    pmfs = _collision_pmfs(np.array([opp.probs for opp in opponents]).reshape(-1, instance.sites))
+    pmfs = _collision_pmfs(np.array([_sized(opp, instance.sites, f"opponents[{j}]") for j, opp in enumerate(opponents)]))
     payoffs = instance.profile.as_array() * (pmfs @ instance.policy.weights(instance.players))
-    return float(focal.as_array() @ payoffs)
+    return float(probs @ payoffs)
 
 
 def coverage(profile: ValueProfile, players: int, strategy: Strategy) -> float:
     """Expected total value of sites visited by at least one of k players."""
     _count(players, "players", 1)
-    _check(strategy.size == profile.size, "strategy: size must match the number of sites")
-    f = profile.as_array()
-    p = strategy.as_array()
+    f, p = profile.as_array(), _sized(strategy, profile.size, "strategy")
     return float(np.sum(f * (1.0 - (1.0 - p) ** players)))
 
 
 def miss_weight(profile: ValueProfile, players: int, strategy: Strategy) -> float:
     """Expected total value left unvisited; complements coverage to sum(values)."""
     _count(players, "players", 1)
-    _check(strategy.size == profile.size, "strategy: size must match the number of sites")
-    f = profile.as_array()
-    p = strategy.as_array()
+    f, p = profile.as_array(), _sized(strategy, profile.size, "strategy")
     return float(np.sum(f * (1.0 - p) ** players))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, Strategy, _check, _count
+from .game import GameInstance, Strategy, _check, _count, _sized
 
 MAX_SEED = 2**64
 # Site-rounds and player-rounds per chunk; beyond that many players, 16 rounds amortise the draw calls.
@@ -43,7 +43,8 @@ class SimConfig:
         strategies, k = tuple(self.strategies), self.instance.players
         _check(len(strategies) == k, f"strategies: expected {k} entries, got {len(strategies)}")
         for i, s in enumerate(strategies):
-            _check(s.size == self.instance.sites, f"strategies[{i}]: size must match the number of sites")
+            if not i or s is not strategies[i - 1]:  # once per run of one object, as ``symmetric`` makes
+                _sized(s, self.instance.sites, f"strategies[{i}]")
         object.__setattr__(self, "strategies", strategies)
 
     @classmethod

@@ -24,6 +24,7 @@ from .game import (
     _check,
     _count,
     _number,
+    _sized,
     coverage,
     site_values,
 )
@@ -157,8 +158,7 @@ def verify_ifd(instance: GameInstance, strategy: Strategy) -> EquilibriumReport:
     term bound max_x f(x) E|C|(1 + B_x) (Higham 2002, ch. 4) plus 1e-13 times
     max_x f(x) |R'(p(x))|, the first-order effect of a 1e-13 error in p.
     """
-    _check(strategy.size == instance.sites, f"strategy: expected {instance.sites} entries, got {strategy.size}")
-    probs = strategy.as_array()
+    probs = _sized(strategy, instance.sites, "strategy")
     values, bound, slope = instance.profile.as_array() * instance.kernel(probs).T
     tolerance = IFD_RESIDUAL_TOL * float(np.max(bound)) + 1e-13 * float(np.max(np.abs(slope)))
     supported = probs > SUPPORT_EPS
@@ -370,6 +370,7 @@ def coverage_grid_oracle(profile: ValueProfile, players: int, grid_step: float) 
     grid_step = _number(grid_step, "grid_step")
     n = round(1.0 / grid_step) if grid_step and np.isfinite(1.0 / grid_step) else 0
     _check(n >= 1 and abs(n * grid_step - 1.0) < 1e-9, f"grid_step: must evenly divide 1, got {grid_step}")
+    _check(n <= 10**4, f"grid_step: must be at least 1e-4, got {grid_step}")  # the DP's cost grows as n^2
     f = profile.as_array()
     units = np.arange(n + 1) / n
     counts = _allocate_units(f[:, None] * (1.0 - (1.0 - units[None, :]) ** players))

@@ -481,6 +481,7 @@ class TestSimulate:
              "--strategy-file", str(strategy_path), "--rounds", "100"],
         )
         assert code == 2
+        assert f"{strategy_path}: probs: expected 2 entries, got 1" in err
 
     @pytest.mark.parametrize("content", ['["a", 1]', "[null, 1]", "[true, false]"])
     def test_strategy_file_entries_must_be_numbers(self, tmp_path, capsys, content):

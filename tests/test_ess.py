@@ -227,7 +227,7 @@ class TestEssCharacterization:
         # Unchecked, one site gives a verdict for a two-site candidate and
         # three sites fail to broadcast.
         instance = GameInstance(ValueProfile(values), 3, CongestionPolicy.sharing())
-        with pytest.raises(ValidationError, match="candidate: strategy size"):
+        with pytest.raises(ValidationError, match=rf"^candidate: expected {len(values)} entries, got 2$"):
             ess_characterization(instance, Strategy((0.5, 0.5)), Strategy((1.0, 0.0)))
 
     def test_sharing_equilibrium_verdict_is_well_formed(self):
@@ -337,7 +337,7 @@ class TestEssBatch:
     def test_mutant_of_another_size_is_rejected(self):
         instance = exclusive(TWO_SITES)
         optimum = coverage_optimum(TWO_SITES, 2).strategy
-        with pytest.raises(ValidationError, match="mutant: strategy size"):
+        with pytest.raises(ValidationError, match=r"^mutant: expected 2 entries, got 3$"):
             ess_batch(instance, optimum, [Strategy.point_mass(1, 2), Strategy.point_mass(1, 3)])
 
 
@@ -485,7 +485,7 @@ class TestClosedForms:
         # Unchecked, a one-site mutant pays 0.0 and a two-site one fails to broadcast.
         profile = ValueProfile((1.0, 0.5, 0.2))
         normalizer = coverage_optimum(profile, 3).normalizer
-        with pytest.raises(ValidationError, match="mutant: strategy size"):
+        with pytest.raises(ValidationError, match=rf"^mutant: expected 3 entries, got {len(probs)}$"):
             closed_form(profile, 3, 3, normalizer, Strategy(probs), 1)
 
     def test_rejects_mutant_count_out_of_range(self):
@@ -520,6 +520,17 @@ class TestInvasionSweep:
         for column in (1, 2):
             a, b, c = (row[column] for row in rows)
             assert b - a == pytest.approx(c - b, abs=1e-10)
+
+    def test_rows_are_the_mixture_payoffs(self):
+        # The sweep evaluates one field per row for both payoffs; each must equal mixture_payoff's bit for bit.
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            sites, players = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+            instance = GameInstance(log_uniform_profile(rng, sites), players, CongestionPolicy.sharing())
+            resident, mutant = random_strategy(rng, sites), random_strategy(rng, sites)
+            for eps, u_res, u_mut in invasion_sweep(instance, resident, mutant, rng.uniform(0.01, 0.99, 3)):
+                assert u_res == mixture_payoff(instance, resident, resident, mutant, eps)
+                assert u_mut == mixture_payoff(instance, mutant, resident, mutant, eps)
 
     def test_rejects_epsilon_outside_open_interval(self):
         instance = exclusive(TWO_SITES)
@@ -572,6 +583,20 @@ class TestMutantGenerator:
 
 
 class TestSimplexProjection:
+    @pytest.mark.parametrize(
+        ("point", "message"),
+        [
+            ([], "point: must be a non-empty list"),
+            ([np.nan, 1.0], "point[0]: must be finite"),
+            ([1.0, np.inf], "point[1]: must be finite"),
+            ("ab", "point[0]: must be a number"),
+        ],
+    )
+    def test_rejects_points_that_are_not_finite_numbers(self, point, message):
+        with pytest.raises(ValidationError) as error:
+            project_to_simplex(point)
+        assert str(error.value) == message
+
     def test_projects_onto_simplex(self):
         rng = np.random.default_rng(19)
         for _ in range(25):

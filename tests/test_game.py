@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from dispersal import (
     coverage,
     coverage_grid_oracle,
     coverage_optimum,
+    ess_batch,
+    ess_characterization,
     expected_payoff_profile,
     invasion_sweep,
     miss_weight,
@@ -29,6 +32,7 @@ from dispersal import (
     site_value,
     site_values,
     symmetric_payoff,
+    verify_ifd,
     welfare_optimum,
 )
 from dispersal.game import MAX_PLAYERS, _bernstein
@@ -121,10 +125,9 @@ SHARING = CongestionPolicy.sharing()
 SHARED = GameInstance(TWO_SITES, 2, SHARING)
 
 
-def closed_forms(k, players=None, support_size=2, n_mutants=1):
-    """Both closed-form payoffs of the k-player optimum against point-mass mutants."""
+def closed_forms(k, players=None, support_size=2, n_mutants=1, mutant=Strategy.point_mass(1, 2)):
+    """Both closed-form payoffs of the k-player optimum against (by default point-mass) mutants."""
     optimum = coverage_optimum(TWO_SITES, k)
-    mutant = Strategy.point_mass(1, 2)
     args = (k if players is None else players, support_size, optimum.normalizer, mutant, n_mutants)
     return closed_form_resident_payoff(TWO_SITES, *args), closed_form_mutant_payoff(TWO_SITES, *args)
 
@@ -159,6 +162,7 @@ INTEGER_ARGUMENTS = [
     case("payoff_single", "site", lambda v: payoff_single(SHARED, v, 1), 2, 0.5, 3),
     case("site_value", "site", lambda v: site_value(SHARED, EVEN, v), 2, 0.375, 0),
     case("point_mass", "site", lambda v: Strategy.point_mass(v, 2).probs, 2, (0.0, 1.0), 3),
+    case("uniform", "size", lambda v: Strategy.uniform(v).probs, 2, (0.5, 0.5), 0),
     case("SimConfig", "rounds", lambda v: SimConfig.symmetric(v, 0, SHARED, EVEN).rounds, 2, 2, 0),
     case("SimConfig", "seed", lambda v: SimConfig.symmetric(10, v, SHARED, EVEN).seed, 2, 2, 2**64),
     case("mutant_generator", "seed", lambda v: len(mutant_generator(TWO_SITES, 2, v, 3)), 2, 3, -1),
@@ -186,6 +190,61 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize(CASES, INTEGER_ARGUMENTS)
     def test_valid_counts_keep_their_results(self, name, call, valid, expected, outside):
+        assert call(valid) == pytest.approx(expected, abs=1e-12)
+
+
+FIRST = Strategy.point_mass(1, 2)
+
+
+def sized(label, name, call, valid, expected):
+    """A strategy argument, a call taking it, and a valid strategy with the call's result."""
+    return pytest.param(name, call, valid, expected, id=f"{label}.{name}")
+
+
+# Against SHARED, EVEN's field pays (0.75, 0.375); FIRST resists EVEN from m = 1 on.
+STRATEGY_ARGUMENTS = [
+    sized("site_values", "strategy", lambda s: site_values(SHARED, s).tolist(), EVEN, [0.75, 0.375]),
+    sized("site_value", "strategy", lambda s: site_value(SHARED, s, 2), EVEN, 0.375),
+    sized("symmetric_payoff", "strategy", lambda s: symmetric_payoff(SHARED, s), EVEN, 0.5625),
+    sized("coverage", "strategy", lambda s: coverage(TWO_SITES, 2, s), EVEN, 1.125),
+    sized("miss_weight", "strategy", lambda s: miss_weight(TWO_SITES, 2, s), EVEN, 0.375),
+    sized("expected_payoff_profile", "focal", lambda s: expected_payoff_profile(SHARED, s, [EVEN]), EVEN, 0.5625),
+    sized("expected_payoff_profile", "opponents[0]", lambda s: expected_payoff_profile(SHARED, EVEN, [s]), EVEN, 0.5625),
+    sized("verify_ifd", "strategy", lambda s: verify_ifd(SHARED, s).site_values, EVEN, (0.75, 0.375)),
+    sized("mixture_payoff", "focal", lambda s: mixture_payoff(SHARED, s, EVEN, FIRST, 0.0), EVEN, 0.5625),
+    sized("mixture_payoff", "resident", lambda s: mixture_payoff(SHARED, EVEN, s, FIRST, 0.0), EVEN, 0.5625),
+    sized("mixture_payoff", "mutant", lambda s: mixture_payoff(SHARED, EVEN, FIRST, s, 1.0), EVEN, 0.5625),
+    sized("invasion_sweep", "resident", lambda s: invasion_sweep(SHARED, s, EVEN, [0.5])[0], EVEN, (0.5, 0.5625, 0.5625)),
+    sized("invasion_sweep", "mutant", lambda s: invasion_sweep(SHARED, EVEN, s, [0.5])[0], EVEN, (0.5, 0.5625, 0.5625)),
+    sized("ess_batch", "candidate", lambda s: ess_batch(SHARED, s, [EVEN])[0].witness_m, FIRST, 1),
+    sized("ess_batch", "mutant", lambda s: ess_batch(SHARED, FIRST, [s])[0].witness_m, EVEN, 1),
+    sized("ess_characterization", "candidate", lambda s: ess_characterization(SHARED, s, EVEN).witness_m, FIRST, 1),
+    sized("ess_characterization", "mutant", lambda s: ess_characterization(SHARED, FIRST, s).witness_m, EVEN, 1),
+    sized("closed_form_resident_payoff", "mutant", lambda s: closed_forms(3, mutant=s)[0], FIRST,
+          closed_forms_direct(3, 1)[0]),
+    sized("closed_form_mutant_payoff", "mutant", lambda s: closed_forms(3, mutant=s)[1], FIRST,
+          closed_forms_direct(3, 1)[1]),
+    sized("SimConfig", "strategies[1]", lambda s: SimConfig(10, 0, SHARED, (EVEN, s)).strategies[1].probs, EVEN,
+          (0.5, 0.5)),
+    sized("SimConfig.symmetric", "strategies[0]", lambda s: SimConfig.symmetric(10, 0, SHARED, s).strategies[1].probs,
+          EVEN, (0.5, 0.5)),
+    sized("SimConfig_after_a_run", "strategies[2]", lambda s: SimConfig(10, 0, GameInstance(TWO_SITES, 3, SHARING),
+          (EVEN, EVEN, s)).strategies[2].probs, EVEN, (0.5, 0.5)),
+]
+
+
+class TestStrategyArguments:
+    """Every strategy argument goes through one size check, whose error names
+    the argument and gives both sizes; a strategy of the game's size keeps its result."""
+
+    @pytest.mark.parametrize("wrong", [Strategy((1.0,)), Strategy((0.5, 0.25, 0.25))], ids=["fewer", "more"])
+    @pytest.mark.parametrize(("name", "call", "valid", "expected"), STRATEGY_ARGUMENTS)
+    def test_wrong_sizes_are_rejected(self, name, call, valid, expected, wrong):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(name)}: expected 2 entries, got {wrong.size}$"):
+            call(wrong)
+
+    @pytest.mark.parametrize(("name", "call", "valid", "expected"), STRATEGY_ARGUMENTS)
+    def test_valid_strategies_keep_their_results(self, name, call, valid, expected):
         assert call(valid) == pytest.approx(expected, abs=1e-12)
 
 

@@ -804,6 +804,8 @@ class TestCoverageGridOracle:
             (0.0, "grid_step: must evenly divide 1, got 0.0"),
             (5e-324, "grid_step: must evenly divide 1, got 5e-324"),
             (-0.5, "grid_step: must evenly divide 1, got -0.5"),
+            (1e-300, "grid_step: must be at least 1e-4, got 1e-300"),
+            (2e-5, "grid_step: must be at least 1e-4, got 2e-05"),
             (math.nan, "grid_step: must be finite"),
             (math.inf, "grid_step: must be finite"),
             (True, "grid_step: must be a number"),
