@@ -70,8 +70,7 @@ def mixture_payoff(
     field, whose payoff is ``focal`` dotted with its site values. At epsilon
     0 or 1 it is the corresponding pure profile.
     """
-    epsilon = _number(epsilon, "epsilon")
-    _check(0.0 <= epsilon <= 1.0, f"epsilon: must lie in [0, 1], got {epsilon}")
+    epsilon = _number(epsilon, "epsilon", 0.0, 1.0)
     resident_probs, mutant_probs = _sized(resident, instance.sites, "resident"), _sized(mutant, instance.sites, "mutant")
     mixed = Strategy.from_array((1.0 - epsilon) * resident_probs + epsilon * mutant_probs)
     return float(_sized(focal, instance.sites, "focal") @ site_values(instance, mixed))
@@ -224,11 +223,7 @@ def mutant_generator(profile: ValueProfile, players: int, seed: int, count: int)
     rng = np.random.default_rng(seed)
     m = profile.size
     anchor = coverage_optimum(profile, players).strategy.as_array()
-    mutants: list[Strategy] = []
-    for site in range(1, m + 1):
-        if len(mutants) >= count:
-            break
-        mutants.append(Strategy.point_mass(site, m))
+    mutants = [Strategy.point_mass(site, m) for site in range(1, min(count, m) + 1)]
     while len(mutants) < count:
         if (len(mutants) - m) % 2 == 0:
             mutants.append(Strategy.from_array(rng.dirichlet(np.ones(m))))

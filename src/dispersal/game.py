@@ -48,12 +48,13 @@ def _check(condition: bool, message: str) -> None:
 _PLAIN_REALS = (float, int, np.float64)
 
 
-def _numbers(values, name: str) -> tuple[float, ...]:
-    """``values`` as a non-empty tuple of finite floats; the one check of numeric input.
+def _numbers(values, name: str, low: float = -math.inf, high: float = math.inf) -> tuple[float, ...]:
+    """``values`` as a non-empty tuple of finite floats in [low, high]; the one check of numeric input.
 
     Non-reals, bools included, fail with ``name[i]: must be a number``;
     NaN, infinities and integers beyond the float range with ``name[i]:
-    must be finite``. Entry paths are formatted only on failure.
+    must be finite``; then the first entry outside the range with
+    ``name[i]: must lie in [low, high], got v``. Entry paths are formatted only on failure.
     """
     entries = tuple(values)
     _check(len(entries) >= 1, f"{name}: must be a non-empty list")
@@ -68,13 +69,16 @@ def _numbers(values, name: str) -> tuple[float, ...]:
     if not all(map(math.isfinite, floats)):
         i = next(i for i, v in enumerate(floats) if not math.isfinite(v))
         raise ValidationError(f"{name}[{i}]: must be finite")
+    if min(floats) < low or max(floats) > high:
+        i = next(i for i, v in enumerate(floats) if not low <= v <= high)
+        raise ValidationError(f"{name}[{i}]: must lie in [{low:g}, {high:g}], got {floats[i]!r}")
     return floats
 
 
-def _number(value, name: str) -> float:
-    """``value`` as a finite float: ``_numbers`` of the one entry, whose errors name ``name`` alone."""
+def _number(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a finite float in [low, high]: ``_numbers`` of the one entry, whose errors name ``name`` alone."""
     try:
-        return _numbers((value,), name)[0]
+        return _numbers((value,), name, low, high)[0]
     except ValidationError as exc:
         raise ValidationError(str(exc).replace(f"{name}[0]", name, 1)) from None
 
@@ -90,8 +94,16 @@ def _count(value, name: str, low: int, high: int | None = None) -> None:
         raise ValidationError(f"{name}: must be an integer {bounds}, got {value!r}")
 
 
+def _unit_sum(probs: tuple[float, ...], name: str, tol: float) -> None:
+    """Check that ``probs`` sums to 1 within ``tol``; the one check of a distribution's total."""
+    if not abs((total := math.fsum(probs)) - 1.0) <= tol:
+        raise ValidationError(f"{name}: must sum to 1 within {tol}, got {total!r}")
+
+
 def _sized(strategy: Strategy, sites: int, name: str) -> np.ndarray:
-    """``strategy``'s probabilities, checked to number ``sites``; the one check of a strategy's size."""
+    """``strategy``'s probabilities, checked to be a ``Strategy`` of ``sites`` entries; the one check of a strategy."""
+    if not isinstance(strategy, Strategy):
+        raise ValidationError(f"{name}: must be a Strategy, got {type(strategy).__name__}")
     if strategy.size != sites:
         raise ValidationError(f"{name}: expected {sites} entries, got {strategy.size}")
     return strategy.as_array()
@@ -204,15 +216,8 @@ class Strategy:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = _numbers(self.probs, "probs")
-        for i, p in enumerate(probs):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"probs[{i}]: must lie in [0, 1], got {p}")
-        total = math.fsum(probs)
-        _check(
-            abs(total - 1.0) <= STRATEGY_SUM_TOL,
-            f"probs: must sum to 1 within {STRATEGY_SUM_TOL}, got {total!r}",
-        )
+        probs = _numbers(self.probs, "probs", 0.0, 1.0)
+        _unit_sum(probs, "probs", STRATEGY_SUM_TOL)
         object.__setattr__(self, "probs", probs)
 
     @classmethod
@@ -281,14 +286,8 @@ class CollisionDistribution:
     probs_by_count: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = _numbers(self.probs_by_count, "probs_by_count")
-        for i, p in enumerate(probs):
-            _check(p >= 0.0, f"probs_by_count[{i}]: must be non-negative")
-        total = math.fsum(probs)
-        _check(
-            abs(total - 1.0) <= DISTRIBUTION_SUM_TOL,
-            f"probs_by_count: must sum to 1 within {DISTRIBUTION_SUM_TOL}, got {total!r}",
-        )
+        probs = _numbers(self.probs_by_count, "probs_by_count", 0.0)
+        _unit_sum(probs, "probs_by_count", DISTRIBUTION_SUM_TOL)
         object.__setattr__(self, "probs_by_count", probs)
 
     @property
@@ -335,9 +334,7 @@ def collision_distribution(opponent_probs) -> CollisionDistribution:
     reduces to the binomial distribution.
     """
     entries = tuple(opponent_probs)
-    probs = np.asarray(_numbers(entries, "opponent_probs") if entries else ())
-    for i, q in enumerate(probs):
-        _check(0.0 <= q <= 1.0, f"opponent_probs[{i}]: must lie in [0, 1], got {q}")
+    probs = np.asarray(_numbers(entries, "opponent_probs", 0.0, 1.0) if entries else ())
     return CollisionDistribution(tuple(_collision_pmfs(probs.reshape(-1, 1))[0]))
 
 

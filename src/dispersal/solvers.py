@@ -290,7 +290,7 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
 
 def symmetric_payoff(instance: GameInstance, strategy: Strategy) -> float:
     """Expected individual payoff when all players use ``strategy``."""
-    return float(np.dot(strategy.as_array(), site_values(instance, strategy)))
+    return float(np.dot(_sized(strategy, instance.sites, "strategy"), site_values(instance, strategy)))
 
 
 def _allocate_units(gain: np.ndarray) -> np.ndarray:

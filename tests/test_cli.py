@@ -483,6 +483,18 @@ class TestSimulate:
         assert code == 2
         assert f"{strategy_path}: probs: expected 2 entries, got 1" in err
 
+    def test_strategy_file_entries_must_be_probabilities(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        strategy_path = tmp_path / "strategy.json"
+        strategy_path.write_text("[1.5, -0.5]")
+        code, _, err = run(
+            capsys,
+            ["simulate", "--instance", path, "--strategy", "file",
+             "--strategy-file", str(strategy_path), "--rounds", "100"],
+        )
+        assert code == 2
+        assert f"{strategy_path}: probs[0]: must lie in [0, 1], got 1.5" in err
+
     @pytest.mark.parametrize("content", ['["a", 1]', "[null, 1]", "[true, false]"])
     def test_strategy_file_entries_must_be_numbers(self, tmp_path, capsys, content):
         path = write_instance(tmp_path)

@@ -234,8 +234,9 @@ STRATEGY_ARGUMENTS = [
 
 
 class TestStrategyArguments:
-    """Every strategy argument goes through one size check, whose error names
-    the argument and gives both sizes; a strategy of the game's size keeps its result."""
+    """Every strategy argument goes through one check, whose error names the argument
+    and gives both sizes, or the type of a non-strategy; a strategy of the game's size
+    keeps its result."""
 
     @pytest.mark.parametrize("wrong", [Strategy((1.0,)), Strategy((0.5, 0.25, 0.25))], ids=["fewer", "more"])
     @pytest.mark.parametrize(("name", "call", "valid", "expected"), STRATEGY_ARGUMENTS)
@@ -243,9 +244,70 @@ class TestStrategyArguments:
         with pytest.raises(ValidationError, match=rf"^{re.escape(name)}: expected 2 entries, got {wrong.size}$"):
             call(wrong)
 
+    @pytest.mark.parametrize("wrong", [[0.5, 0.5], (0.5, 0.5), None], ids=["list", "tuple", "None"])
+    @pytest.mark.parametrize(("name", "call", "valid", "expected"), STRATEGY_ARGUMENTS)
+    def test_non_strategies_are_rejected(self, name, call, valid, expected, wrong):
+        message = rf"^{re.escape(name)}: must be a Strategy, got {type(wrong).__name__}$"
+        with pytest.raises(ValidationError, match=message):
+            call(wrong)
+
     @pytest.mark.parametrize(("name", "call", "valid", "expected"), STRATEGY_ARGUMENTS)
     def test_valid_strategies_keep_their_results(self, name, call, valid, expected):
         assert call(valid) == pytest.approx(expected, abs=1e-12)
+
+
+def ranged(name, call, expected, bounds, outside):
+    """A closed-range argument, a call taking a value for it, the call's result as a function
+    of that value, the range as its error prints it, and values just outside the range."""
+    return pytest.param(name, call, expected, bounds, outside, id=name)
+
+
+BELOW_ZERO, ABOVE_ONE = math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)
+
+
+def rest(v):
+    """The other entry of a two-entry distribution holding ``v``, kept in [0, 1]."""
+    return min(1.0, max(0.0, 1.0 - v))
+
+
+# Against SHARED, the mix of EVEN and FIRST at epsilon pays EVEN 0.5625 - 0.0625 epsilon.
+RANGE_ARGUMENTS = [
+    ranged("probs[1]", lambda v: Strategy((rest(v), v)).probs[1], lambda v: v, "[0, 1]",
+           [BELOW_ZERO, ABOVE_ONE, -0.5, 1.5]),
+    ranged("probs_by_count[1]", lambda v: CollisionDistribution((rest(v), v)).probs_by_count[1], lambda v: v,
+           "[0, inf]", [BELOW_ZERO, -0.5]),
+    ranged("opponent_probs[1]", lambda v: collision_distribution([0.0, v]).pmf(1), lambda v: v, "[0, 1]",
+           [BELOW_ZERO, ABOVE_ONE, -0.5, 1.5]),
+    ranged("epsilon", lambda v: mixture_payoff(SHARED, EVEN, EVEN, FIRST, v), lambda v: 0.5625 - 0.0625 * v,
+           "[0, 1]", [BELOW_ZERO, ABOVE_ONE, -0.5, 1.5]),
+]
+RANGES = ("name", "call", "expected", "bounds", "outside")
+
+
+class TestRangeArguments:
+    """Every closed-range argument goes through one check: the first entry outside
+    the range raises ``name: must lie in [low, high], got v``, and both ends pass."""
+
+    @pytest.mark.parametrize(RANGES, RANGE_ARGUMENTS)
+    def test_values_just_outside_are_rejected(self, name, call, expected, bounds, outside):
+        for v in outside:
+            message = rf"^{re.escape(name)}: must lie in {re.escape(bounds)}, got {re.escape(repr(v))}$"
+            with pytest.raises(ValidationError, match=message):
+                call(v)
+
+    @pytest.mark.parametrize("end", [0.0, -0.0, 1.0])
+    @pytest.mark.parametrize(RANGES, RANGE_ARGUMENTS)
+    def test_ends_pass(self, name, call, expected, bounds, outside, end):
+        assert call(end) == pytest.approx(expected(end), abs=1e-15)
+
+    @pytest.mark.parametrize(("build", "name"), [(Strategy, "probs"), (collision_distribution, "opponent_probs")])
+    def test_the_first_entry_outside_is_named(self, build, name):
+        with pytest.raises(ValidationError, match=rf"^{name}\[0\]: must lie in \[0, 1\], got 1\.5$"):
+            build((1.5, -0.5))
+
+    def test_a_strategy_keeps_its_sum_message(self):
+        with pytest.raises(ValidationError, match=r"^probs: must sum to 1 within 1e-09, got 0\.9$"):
+            Strategy((0.5, 0.4))
 
 
 class TestStrategy:
@@ -341,10 +403,13 @@ class TestCollisionDistribution:
             assert dist.pmf(count) == pytest.approx(expected, abs=1e-12)
 
     def test_validation_of_constructed_distribution(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^probs_by_count: must sum to 1 within 1e-12, got 0\.9$"):
             CollisionDistribution((0.5, 0.4))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^probs_by_count\[1\]: must lie in \[0, inf\], got -0\.1$"):
             CollisionDistribution((1.1, -0.1))
+        # The upper end stays open: an entry above 1 fails on the total alone.
+        with pytest.raises(ValidationError, match=r"^probs_by_count: must sum to 1 within 1e-12, got 1\.5$"):
+            CollisionDistribution((1.5, 0.0))
 
     @pytest.mark.parametrize("entry", ["0.5", True, None])
     @pytest.mark.parametrize(
