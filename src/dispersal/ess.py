@@ -22,6 +22,7 @@ from .game import (
     _bernstein,
     _check,
     _count,
+    _entries,
     _number,
     _numbers,
     _sized,
@@ -190,7 +191,7 @@ def invasion_sweep(
     locating the invasion threshold below which the resident wins.
     """
     resident_probs, mutant_probs = _sized(resident, instance.sites, "resident"), _sized(mutant, instance.sites, "mutant")
-    rows, entries = [], tuple(epsilons)
+    rows, entries = [], _entries(epsilons, "epsilons")
     for eps in _numbers(entries, "epsilons") if entries else ():
         _check(0.0 < eps < 1.0, f"epsilons: entries must lie in (0, 1), got {eps}")
         values = site_values(instance, Strategy.from_array((1.0 - eps) * resident_probs + eps * mutant_probs))

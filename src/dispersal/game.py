@@ -48,6 +48,14 @@ def _check(condition: bool, message: str) -> None:
 _PLAIN_REALS = (float, int, np.float64)
 
 
+def _entries(values, name: str) -> tuple:
+    """``values`` as a tuple; anything that is not iterable fails with ``name: must be a list, got <type>``."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{name}: must be a list, got {type(values).__name__}") from None
+
+
 def _numbers(values, name: str, low: float = -math.inf, high: float = math.inf) -> tuple[float, ...]:
     """``values`` as a non-empty tuple of finite floats in [low, high]; the one check of numeric input.
 
@@ -56,7 +64,7 @@ def _numbers(values, name: str, low: float = -math.inf, high: float = math.inf) 
     must be finite``; then the first entry outside the range with
     ``name[i]: must lie in [low, high], got v``. Entry paths are formatted only on failure.
     """
-    entries = tuple(values)
+    entries = _entries(values, name)
     _check(len(entries) >= 1, f"{name}: must be a non-empty list")
     for i, v in enumerate(entries):
         if type(v) not in _PLAIN_REALS and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
@@ -96,7 +104,11 @@ def _count(value, name: str, low: int, high: int | None = None) -> None:
 
 def _unit_sum(probs: tuple[float, ...], name: str, tol: float) -> None:
     """Check that ``probs`` sums to 1 within ``tol``; the one check of a distribution's total."""
-    if not abs((total := math.fsum(probs)) - 1.0) <= tol:
+    try:
+        total = math.fsum(probs)
+    except OverflowError:  # finite entries whose sum passes the float range
+        total = math.inf
+    if not abs(total - 1.0) <= tol:
         raise ValidationError(f"{name}: must sum to 1 within {tol}, got {total!r}")
 
 
@@ -193,6 +205,12 @@ class CongestionPolicy:
             return np.array(self.table[low - 1 : high])
         occupancies = np.arange(low, high + 1)
         return (occupancies == 1).astype(float) if self.kind == "exclusive" else 1.0 / occupancies
+
+    def _marginal(self, players: int) -> np.ndarray:
+        """C~(l) = l C(l) - (l-1) C(l-1) for l = 1..players, the weights whose R is d/dp [p R(p)]."""
+        if self.kind == "sharing":  # exactly the exclusive weights; l * (1/l) rounds below 1 at some l (49)
+            return CongestionPolicy.exclusive()._weights(1, players)
+        return np.diff(np.arange(players + 1) * np.r_[0.0, self._weights(1, players)])
 
     def at(self, occupancy: int) -> float:
         """Weight C(l) for a site occupied by ``occupancy`` players."""
@@ -333,7 +351,7 @@ def collision_distribution(opponent_probs) -> CollisionDistribution:
     the result is the Poisson-binomial pmf. For identical entries it
     reduces to the binomial distribution.
     """
-    entries = tuple(opponent_probs)
+    entries = _entries(opponent_probs, "opponent_probs")
     probs = np.asarray(_numbers(entries, "opponent_probs", 0.0, 1.0) if entries else ())
     return CollisionDistribution(tuple(_collision_pmfs(probs.reshape(-1, 1))[0]))
 
@@ -383,7 +401,7 @@ def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) 
     opponents' selection probabilities.
     """
     probs = _sized(focal, instance.sites, "focal")
-    opponents = list(opponents)
+    opponents = _entries(opponents, "opponents")
     _check(
         len(opponents) == instance.players - 1,
         f"opponents: expected {instance.players - 1} strategies, got {len(opponents)}",

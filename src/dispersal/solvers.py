@@ -18,6 +18,7 @@ import numpy as np
 
 from .game import (
     SUPPORT_EPS,
+    CongestionPolicy,
     GameInstance,
     Strategy,
     ValueProfile,
@@ -330,12 +331,19 @@ def _allocate_units(gain: np.ndarray) -> np.ndarray:
 def welfare_optimum(instance: GameInstance) -> WelfareOptimum:
     """Symmetric strategy maximizing the expected individual payoff.
 
-    The payoff sum_x p(x) * value(x) * E[C(1 + B(p(x)))] is separable by
-    site, so the allocation DP finds its exact optimum on the simplex grid
-    with step ``WELFARE_GRID_STEP``, then polishes that point on halving
-    local grids down to ``WELFARE_REFINE_STEP``, each site moving by up to
-    ``WELFARE_REFINE_WINDOW`` steps and the moves summing to zero.
+    The payoff sum_x p(x) * value(x) * R(p(x)) is separable by site. Where the marginal policy C~(l) = l C(l) -
+    (l-1) C(l-1), whose R is d/dp [p R(p)], does not increase, each p R(p) is concave and the optimum is the
+    equilibrium under C~ (for sharing, C~ is exclusive: sigma*). Elsewhere, or if that solve fails, the allocation
+    DP finds the exact optimum on the simplex grid with step ``WELFARE_GRID_STEP``, then polishes it on halving
+    local grids down to ``WELFARE_REFINE_STEP``, each site moving by up to ``WELFARE_REFINE_WINDOW`` steps.
     """
+    marginal = instance.policy._marginal(instance.players)
+    if np.all(np.diff(marginal) <= 0.0):
+        try:
+            strategy = solve_ifd(replace(instance, policy=CongestionPolicy.from_table(marginal))).strategy
+            return WelfareOptimum(strategy, symmetric_payoff(instance, strategy))
+        except SolverError:  # a common value of C~ below the float range
+            pass
     f, kernel = instance.profile.as_array()[:, None], instance.kernel
     n = round(1.0 / WELFARE_GRID_STEP)
     units = np.arange(n + 1) / n

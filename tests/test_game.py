@@ -310,6 +310,30 @@ class TestRangeArguments:
             Strategy((0.5, 0.4))
 
 
+# Each call takes a list for the named argument; None is left out where it means "no table".
+LIST_ARGUMENTS = [
+    pytest.param("probs", Strategy, [None, 0.5], id="Strategy"),
+    pytest.param("values", ValueProfile, [None, 0.5], id="ValueProfile"),
+    pytest.param("policy.table", lambda v: CongestionPolicy("table", v), [3, 0.5], id="CongestionPolicy"),
+    pytest.param("probs_by_count", CollisionDistribution, [None, 1], id="CollisionDistribution"),
+    pytest.param("opponent_probs", collision_distribution, [None, 0.5], id="collision_distribution"),
+    pytest.param("epsilons", lambda v: invasion_sweep(SHARED, EVEN, FIRST, v), [None, 0.5], id="invasion_sweep"),
+    pytest.param("opponents", lambda v: expected_payoff_profile(SHARED, EVEN, v), [None, EVEN],
+                 id="expected_payoff_profile"),
+]
+
+
+class TestListArguments:
+    """Every list argument is read through one check, so a value that is not
+    iterable raises ``name: must be a list, got <type>``."""
+
+    @pytest.mark.parametrize(("name", "call", "bad"), LIST_ARGUMENTS)
+    def test_non_iterables_are_rejected(self, name, call, bad):
+        for value in bad:
+            with pytest.raises(ValidationError, match=rf"^{re.escape(name)}: must be a list, got {type(value).__name__}$"):
+                call(value)
+
+
 class TestStrategy:
     def test_sum_must_be_one(self):
         with pytest.raises(ValidationError):
@@ -410,6 +434,9 @@ class TestCollisionDistribution:
         # The upper end stays open: an entry above 1 fails on the total alone.
         with pytest.raises(ValidationError, match=r"^probs_by_count: must sum to 1 within 1e-12, got 1\.5$"):
             CollisionDistribution((1.5, 0.0))
+        # Finite entries whose exact sum passes the float range total inf.
+        with pytest.raises(ValidationError, match=r"^probs_by_count: must sum to 1 within 1e-12, got inf$"):
+            CollisionDistribution((1e308, 1e308))
 
     @pytest.mark.parametrize("entry", ["0.5", True, None])
     @pytest.mark.parametrize(
@@ -496,7 +523,8 @@ KERNEL_POLICIES = [
 
 class TestOneKernelPerGame:
     """Every payoff on a symmetric field reads the game's cached kernel, so no
-    R evaluator is built after it, and the values are those of the vector path."""
+    R evaluator is built after it but the welfare optimum's game under the
+    marginal policy, and the values are those of the vector path."""
 
     @pytest.mark.parametrize("policy", KERNEL_POLICIES)
     def test_payoffs_and_welfare_build_no_evaluator(self, monkeypatch, policy):
@@ -519,7 +547,10 @@ class TestOneKernelPerGame:
         mixture_payoff(instance, resident, resident, mutant, 0.25)
         invasion_sweep(instance, resident, mutant, [0.1, 0.5])
         welfare_optimum(instance)
-        assert builds == [(4, 3)]
+        # Only the welfare call builds one, the kernel of the game under the
+        # marginal policy, whose equilibrium it solves where p R(p) is concave;
+        # under the exclusive policy at k = 4 it is not, and the grid DP reads this kernel.
+        assert builds == [(4, 3)] * (1 if instance.policy.kind == "exclusive" else 2)
 
     @pytest.mark.parametrize("policy", KERNEL_POLICIES)
     @pytest.mark.parametrize("players", [2, 3, 8, 40, 300, 2000])

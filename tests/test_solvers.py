@@ -676,6 +676,36 @@ class TestScaleInvariance:
             assert spoa == pytest.approx(1.0, abs=1e-8)
 
 
+def marginal_instance(instance):
+    """The game under C~(l) = l C(l) - (l-1) C(l-1), or None where C~ increases somewhere."""
+    marginal = instance.policy._marginal(instance.players)
+    if np.any(np.diff(marginal) > 0.0):
+        return None
+    return GameInstance(instance.profile, instance.players, CongestionPolicy.from_table(marginal))
+
+
+@st.composite
+def concave_instances(draw):
+    """M <= 20 with values log-uniform in [1e-9, 1], and sharing with k <=
+    200, a k = 2 table (1, c) with c in [-100, 1], or a table for k <= 200
+    whose C~ is 1 on a flat start and then falls by steps drawn from [1e-3,
+    s] for s in {0.01, 1, 100}, so that it reaches deep negatives."""
+    sites, players = draw(st.integers(1, 20)), draw(st.integers(2, 200))
+    values = tuple(10.0**e for e in draw(st.lists(st.floats(-9.0, 0.0), min_size=sites, max_size=sites)))
+    family = draw(st.sampled_from(("sharing", "two", "marginal")))
+    if family == "sharing":
+        policy = CongestionPolicy.sharing()
+    elif family == "two":
+        players, policy = 2, CongestionPolicy.from_table((1.0, draw(st.floats(-100.0, 1.0))))
+    else:
+        flat = draw(st.integers(1, players))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        drops = rng.uniform(1e-3, draw(st.sampled_from((0.01, 1.0, 100.0))), players - flat)
+        marginal = np.r_[np.ones(flat), 1.0 - np.cumsum(drops)]
+        policy = CongestionPolicy.from_table(np.cumsum(marginal) / np.arange(1, players + 1))
+    return GameInstance(ValueProfile(values), players, policy)
+
+
 class TestWelfareOptimum:
     def test_symmetric_two_sites(self):
         result = welfare_optimum(exclusive(ValueProfile((1.0, 1.0))))
@@ -724,7 +754,9 @@ class TestWelfareOptimum:
             players = int(rng.integers(2, 9))
             profile = log_uniform_profile(rng, sites)
             result = welfare_optimum(GameInstance(profile, players, CongestionPolicy.sharing()))
-            best = coverage(profile, players, coverage_optimum(profile, players).strategy) / players
+            optimum = coverage_optimum(profile, players).strategy
+            assert np.max(np.abs(result.strategy.as_array() - optimum.as_array())) <= 1e-12
+            best = coverage(profile, players, optimum) / players
             assert result.payoff == pytest.approx(best, abs=1e-9 * profile.values[0])
 
     def test_matches_pairwise_exchange_polish(self):
@@ -774,7 +806,42 @@ class TestWelfareOptimum:
             probs, payoff = exchange_polish(instance)
             result = welfare_optimum(instance)
             assert result.payoff >= payoff - 1e-12 * instance.profile.values[0]
-            assert np.max(np.abs(result.strategy.as_array() - probs)) <= 1e-9
+            marginal = marginal_instance(instance)
+            if marginal is None:
+                assert np.max(np.abs(result.strategy.as_array() - probs)) <= 1e-9
+            else:  # concave: the exact equilibrium of the marginal policy, not a point near the grid's
+                assert verify_ifd(marginal, result.strategy).passed
+
+    @pytest.mark.parametrize("second", [0.1, 0.5, 1.0])
+    def test_two_players_match_the_closed_form(self, second):
+        # k = 2, C = (1, c): p R(p) = p - (1 - c) p^2, so equal marginal
+        # payoffs give p1 = (1 - f2 + f2 a) / (a (1 + f2)), a = 2 (1 - c).
+        profile = ValueProfile((1.0, second))
+        for c in np.linspace(-0.5, 0.99):
+            a = 2.0 * (1.0 - c)
+            first = min(max((1.0 - second + second * a) / (a * (1.0 + second)), 0.0), 1.0)
+            result = welfare_optimum(GameInstance(profile, 2, CongestionPolicy.from_table((1.0, c))))
+            assert np.max(np.abs(result.strategy.as_array() - (first, 1.0 - first))) <= 1e-12
+
+    @settings(max_examples=200)
+    @given(instance=concave_instances())
+    def test_concave_games_take_the_equilibrium_of_the_marginal_policy(self, instance):
+        # Bit for bit the solve's strategy, so the grid DP did not run.
+        marginal = marginal_instance(instance)
+        result = welfare_optimum(instance)
+        assert result.strategy == solve_ifd(marginal).strategy
+        assert verify_ifd(marginal, result.strategy).passed
+        assert result.payoff == symmetric_payoff(instance, result.strategy)
+
+    def test_grid_takes_over_below_the_float_range(self):
+        # C~ of sharing is the exclusive policy, whose common value here is
+        # below the float range, so the solve fails and the grid DP answers.
+        instance = GameInstance(TWO_SITES, 1040, CongestionPolicy.sharing())
+        with pytest.raises(SolverError, match="below the float range"):
+            solve_ifd(marginal_instance(instance))
+        result = welfare_optimum(instance)
+        optimum = coverage_optimum(TWO_SITES, 1040).strategy
+        assert result.payoff >= coverage(TWO_SITES, 1040, optimum) / 1040 - 1e-12
 
 
 class TestCoverageGridOracle:
