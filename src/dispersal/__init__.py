@@ -9,32 +9,25 @@ from .ess import (
     ess_batch,
     ess_characterization,
     invasion_sweep,
-    mixture_payoff,
     mutant_generator,
     project_to_simplex,
 )
 from .game import (
-    CollisionDistribution,
     CongestionPolicy,
     GameInstance,
     Strategy,
     ValidationError,
     ValueProfile,
-    collision_distribution,
     coverage,
     expected_payoff_profile,
-    miss_weight,
-    payoff_single,
-    site_value,
     site_values,
 )
-from .montecarlo import SimConfig, SimReport, empirical_site_values, simulate
+from .montecarlo import SimConfig, SimReport, simulate
 from .solvers import (
     CoverageOptimum,
     EquilibriumReport,
     SolverError,
     WelfareOptimum,
-    coverage_grid_oracle,
     coverage_optimum,
     solve_ifd,
     symmetric_payoff,
@@ -43,10 +36,9 @@ from .solvers import (
     welfare_optimum,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "CollisionDistribution",
     "CongestionPolicy",
     "CoverageOptimum",
     "EquilibriumReport",
@@ -61,22 +53,15 @@ __all__ = [
     "WelfareOptimum",
     "closed_form_mutant_payoff",
     "closed_form_resident_payoff",
-    "collision_distribution",
     "coverage",
-    "coverage_grid_oracle",
     "coverage_optimum",
-    "empirical_site_values",
     "ess_batch",
     "ess_characterization",
     "expected_payoff_profile",
     "invasion_sweep",
-    "miss_weight",
-    "mixture_payoff",
     "mutant_generator",
-    "payoff_single",
     "project_to_simplex",
     "simulate",
-    "site_value",
     "site_values",
     "solve_ifd",
     "symmetric_payoff",

@@ -23,7 +23,6 @@ from .game import (
     _check,
     _count,
     _entries,
-    _number,
     _numbers,
     _sized,
     site_values,
@@ -56,27 +55,6 @@ class EssVerdict:
     margins: tuple[float, ...]
 
 
-def mixture_payoff(
-    instance: GameInstance,
-    focal: Strategy,
-    resident: Strategy,
-    mutant: Strategy,
-    epsilon: float,
-) -> float:
-    """Average payoff of ``focal`` against k-1 opponents drawn from a mixed population.
-
-    Each opponent is independently a resident with probability 1 - epsilon
-    and a mutant with probability epsilon, so every opponent plays the
-    mixed strategy (1 - epsilon) * resident + epsilon * mutant: a symmetric
-    field, whose payoff is ``focal`` dotted with its site values. At epsilon
-    0 or 1 it is the corresponding pure profile.
-    """
-    epsilon = _number(epsilon, "epsilon", 0.0, 1.0)
-    resident_probs, mutant_probs = _sized(resident, instance.sites, "resident"), _sized(mutant, instance.sites, "mutant")
-    mixed = Strategy.from_array((1.0 - epsilon) * resident_probs + epsilon * mutant_probs)
-    return float(_sized(focal, instance.sites, "focal") @ site_values(instance, mixed))
-
-
 def ess_batch(instance: GameInstance, candidate: Strategy, mutants: list[Strategy]) -> list[EssVerdict | None]:
     """Ordered stability checks of ``candidate``, one verdict per mutant.
 
@@ -88,6 +66,7 @@ def ess_batch(instance: GameInstance, candidate: Strategy, mutants: list[Strateg
     A mutant within ``MIN_MUTANT_DISTANCE`` of the candidate in max-norm gets None.
     """
     k, f, resident = instance.players, instance.profile.as_array(), _sized(candidate, instance.sites, "candidate")
+    mutants = _entries(mutants, "mutants")
     weights, verdicts, walking = instance.policy.weights(k), [None] * len(mutants), []
     for i, mutant in enumerate(mutants):
         difference = resident - _sized(mutant, instance.sites, "mutant")

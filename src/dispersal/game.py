@@ -19,10 +19,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-# Strategies must sum to 1 within this; collision distributions are held
-# to a tighter budget because they come out of an exact DP.
+# Strategies must sum to 1 within this.
 STRATEGY_SUM_TOL = 1e-9
-DISTRIBUTION_SUM_TOL = 1e-12
 
 # Probabilities below this are treated as structural zeros when deciding
 # the support of a strategy.
@@ -83,10 +81,10 @@ def _numbers(values, name: str, low: float = -math.inf, high: float = math.inf) 
     return floats
 
 
-def _number(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
-    """``value`` as a finite float in [low, high]: ``_numbers`` of the one entry, whose errors name ``name`` alone."""
+def _number(value, name: str) -> float:
+    """``value`` as a finite float: ``_numbers`` of the one entry, whose errors name ``name`` alone."""
     try:
-        return _numbers((value,), name, low, high)[0]
+        return _numbers((value,), name)[0]
     except ValidationError as exc:
         raise ValidationError(str(exc).replace(f"{name}[0]", name, 1)) from None
 
@@ -100,16 +98,6 @@ def _count(value, name: str, low: int, high: int | None = None) -> None:
     if not (integer and low <= value and (high is None or value <= high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValidationError(f"{name}: must be an integer {bounds}, got {value!r}")
-
-
-def _unit_sum(probs: tuple[float, ...], name: str, tol: float) -> None:
-    """Check that ``probs`` sums to 1 within ``tol``; the one check of a distribution's total."""
-    try:
-        total = math.fsum(probs)
-    except OverflowError:  # finite entries whose sum passes the float range
-        total = math.inf
-    if not abs(total - 1.0) <= tol:
-        raise ValidationError(f"{name}: must sum to 1 within {tol}, got {total!r}")
 
 
 def _sized(strategy: Strategy, sites: int, name: str) -> np.ndarray:
@@ -146,10 +134,6 @@ class ValueProfile:
     @property
     def size(self) -> int:
         return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.values))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -235,12 +219,15 @@ class Strategy:
 
     def __post_init__(self) -> None:
         probs = _numbers(self.probs, "probs", 0.0, 1.0)
-        _unit_sum(probs, "probs", STRATEGY_SUM_TOL)
+        total = math.fsum(probs)  # entries in [0, 1] cannot overflow it
+        if not abs(total - 1.0) <= STRATEGY_SUM_TOL:
+            raise ValidationError(f"probs: must sum to 1 within {STRATEGY_SUM_TOL}, got {total!r}")
         object.__setattr__(self, "probs", probs)
 
     @classmethod
     def point_mass(cls, site: int, size: int) -> "Strategy":
         """All mass on 1-based ``site``."""
+        _count(size, "size", 1)
         _count(site, "site", 1, size)
         return cls(tuple(1.0 if x == site - 1 else 0.0 for x in range(size)))
 
@@ -292,39 +279,6 @@ class GameInstance:
         return _bernstein(np.column_stack((weights, np.abs(weights), j * steps[:-1] + (self.players - 1 - j) * steps[1:])))
 
 
-@dataclass(frozen=True)
-class CollisionDistribution:
-    """Distribution of how many opponents co-select a site.
-
-    ``probs_by_count[c]`` is the probability that exactly ``c`` of the
-    opponents picked the site; the support runs from 0 to the number of
-    opponents.
-    """
-
-    probs_by_count: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        probs = _numbers(self.probs_by_count, "probs_by_count", 0.0)
-        _unit_sum(probs, "probs_by_count", DISTRIBUTION_SUM_TOL)
-        object.__setattr__(self, "probs_by_count", probs)
-
-    @property
-    def opponents(self) -> int:
-        return len(self.probs_by_count) - 1
-
-    def pmf(self, count: int) -> float:
-        if 0 <= count < len(self.probs_by_count):
-            return self.probs_by_count[count]
-        return 0.0
-
-
-def payoff_single(instance: GameInstance, site: int, occupancy: int) -> float:
-    """Reward for one player at 1-based ``site`` with total occupancy ``occupancy``."""
-    _count(site, "site", 1, instance.sites)
-    _count(occupancy, "occupancy", 1, instance.players)
-    return instance.profile.values[site - 1] * instance.policy.at(occupancy)
-
-
 def _collision_pmfs(opponent_probs: np.ndarray) -> np.ndarray:
     """Poisson-binomial pmfs of the opponent count at every site.
 
@@ -342,18 +296,6 @@ def _collision_pmfs(opponent_probs: np.ndarray) -> np.ndarray:
         pmf[:, : i + 1] *= 1.0 - q
         pmf[:, 1 : i + 2] += moved
     return pmf
-
-
-def collision_distribution(opponent_probs) -> CollisionDistribution:
-    """Exact distribution of the number of opponents hitting a site.
-
-    Each opponent independently selects the site with its own probability;
-    the result is the Poisson-binomial pmf. For identical entries it
-    reduces to the binomial distribution.
-    """
-    entries = _entries(opponent_probs, "opponent_probs")
-    probs = np.asarray(_numbers(entries, "opponent_probs", 0.0, 1.0) if entries else ())
-    return CollisionDistribution(tuple(_collision_pmfs(probs.reshape(-1, 1))[0]))
 
 
 def _bernstein(coeffs):
@@ -387,12 +329,6 @@ def site_values(instance: GameInstance, strategy: Strategy) -> np.ndarray:
     return instance.profile.as_array() * instance.kernel(_sized(strategy, instance.sites, "strategy"))[:, 0]
 
 
-def site_value(instance: GameInstance, strategy: Strategy, site: int) -> float:
-    """Expected payoff of committing to 1-based ``site`` against a symmetric field."""
-    _count(site, "site", 1, instance.sites)
-    return float(site_values(instance, strategy)[site - 1])
-
-
 def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) -> float:
     """Expected payoff of ``focal`` against an explicit list of k-1 opponents.
 
@@ -417,9 +353,3 @@ def coverage(profile: ValueProfile, players: int, strategy: Strategy) -> float:
     f, p = profile.as_array(), _sized(strategy, profile.size, "strategy")
     return float(np.sum(f * (1.0 - (1.0 - p) ** players)))
 
-
-def miss_weight(profile: ValueProfile, players: int, strategy: Strategy) -> float:
-    """Expected total value left unvisited; complements coverage to sum(values)."""
-    _count(players, "players", 1)
-    f, p = profile.as_array(), _sized(strategy, profile.size, "strategy")
-    return float(np.sum(f * (1.0 - p) ** players))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, Strategy, _check, _count, _sized
+from .game import GameInstance, Strategy, _check, _count, _entries, _sized
 
 MAX_SEED = 2**64
 # Site-rounds and player-rounds per chunk; beyond that many players, 16 rounds amortise the draw calls.
@@ -40,7 +40,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         _count(self.rounds, "rounds", 1)
         _count(self.seed, "seed", 0, MAX_SEED - 1)
-        strategies, k = tuple(self.strategies), self.instance.players
+        strategies, k = _entries(self.strategies, "strategies"), self.instance.players
         _check(len(strategies) == k, f"strategies: expected {k} entries, got {len(strategies)}")
         for i, s in enumerate(strategies):
             if not i or s is not strategies[i - 1]:  # once per run of one object, as ``symmetric`` makes
@@ -166,24 +166,3 @@ def simulate(config: SimConfig) -> SimReport:
         occupancy_histogram=tuple(map(tuple, histogram.reshape(m, k).tolist())),
     )
 
-
-def empirical_site_values(config: SimConfig) -> list[float]:
-    """Estimated expected payoff of committing to each site.
-
-    The resident profile in ``config`` must be symmetric. Each round the
-    k-1 residents (players 1..k-1) sample their sites, and a focal player
-    is paid at every site in turn.
-    Returns the per-site mean rewards; the residents' draws are shared
-    across sites, so the M estimates use common random numbers.
-    """
-    instance, symmetric = config.instance, all(s.probs == config.strategies[0].probs for s in config.strategies)
-    _check(symmetric, "strategies: site-value estimation requires a symmetric resident profile")
-    m, n, weights = instance.sites, instance.players - 1, instance.policy.weights(instance.players)
-    histogram = np.zeros(m * n, dtype=np.int64)
-    for cells, _ in _chunks(config, range(1, n + 1)):
-        histogram += np.bincount(cells.ravel(), minlength=m * n)
-    # l residents at a site in a round add l to its cell l-1, so visits[x, l-1]
-    # counts the rounds with l residents at site x; the other rounds have none.
-    visits = histogram.reshape(m, n) // np.arange(1, n + 1)
-    payoffs = (config.rounds - visits.sum(axis=1)) * weights[0] + visits @ weights[1:]
-    return (instance.profile.as_array() * payoffs / config.rounds).tolist()

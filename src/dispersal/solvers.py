@@ -5,9 +5,8 @@ Two independent routes to the symmetric equilibrium are kept side by side:
 is simultaneously the equilibrium of the exclusive policy and the unique
 coverage maximizer, while ``solve_ifd`` finds the equilibrium of an
 arbitrary non-increasing congestion policy by bracketed Newton steps on
-the common site value. ``coverage_grid_oracle`` is a brute-force check on the
-optimum over a discrete simplex grid, and ``symmetric_price_of_anarchy``
-compares equilibrium coverage against the optimum.
+the common site value. ``symmetric_price_of_anarchy`` compares equilibrium
+coverage against the optimum.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from .game import (
     GameInstance,
     Strategy,
     ValueProfile,
-    _check,
     _count,
-    _number,
     _sized,
     coverage,
     site_values,
@@ -139,14 +136,15 @@ def _finish(f: np.ndarray, probs: np.ndarray) -> Strategy:
 def coverage_optimum(profile: ValueProfile, players: int) -> CoverageOptimum:
     """Closed-form coverage-maximizing strategy for ``players`` dispersers: the Pareto shape of exponent 1 / (players - 1)."""
     _count(players, "players", 2)
-    f = profile.as_array()
+    top = profile.values[0]
+    f = profile.as_array() / top  # as in ``solve_ifd``, so that the strategy depends on f / f(1) alone
     probs, alpha = _pareto(f, 1.0 / (players - 1))
     strategy = _finish(f, probs)
     return CoverageOptimum(
         strategy=strategy,
         support_size=len(strategy.support()),
-        normalizer=float(alpha),
-        common_value=float(alpha ** (players - 1)),
+        normalizer=float(alpha * top ** (1.0 / (players - 1))),
+        common_value=float(alpha ** (players - 1) * top),
     )
 
 
@@ -362,28 +360,6 @@ def welfare_optimum(instance: GameInstance) -> WelfareOptimum:
         step /= 2
     strategy = Strategy.from_array(probs)
     return WelfareOptimum(strategy, symmetric_payoff(instance, strategy))
-
-
-def coverage_grid_oracle(profile: ValueProfile, players: int, grid_step: float) -> tuple[Strategy, float]:
-    """Best coverage over the simplex grid with resolution ``grid_step``.
-
-    Exhausts every grid point (all ways of splitting 1/step probability
-    units across sites) through the per-site allocation DP, so the result
-    is the exact grid optimum. Intended purely as an independent check of
-    the closed-form optimum; limited to 4 sites.
-    """
-    m = profile.size
-    _check(m <= 4, f"profile: grid oracle supports at most 4 sites, got {m}")
-    _count(players, "players", 1)
-    grid_step = _number(grid_step, "grid_step")
-    n = round(1.0 / grid_step) if grid_step and np.isfinite(1.0 / grid_step) else 0
-    _check(n >= 1 and abs(n * grid_step - 1.0) < 1e-9, f"grid_step: must evenly divide 1, got {grid_step}")
-    _check(n <= 10**4, f"grid_step: must be at least 1e-4, got {grid_step}")  # the DP's cost grows as n^2
-    f = profile.as_array()
-    units = np.arange(n + 1) / n
-    counts = _allocate_units(f[:, None] * (1.0 - (1.0 - units[None, :]) ** players))
-    strategy = Strategy.from_array(counts / n)
-    return strategy, coverage(profile, players, strategy)
 
 
 def symmetric_price_of_anarchy(instance: GameInstance) -> float:

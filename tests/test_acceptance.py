@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 from conftest import log_uniform_profile, random_nonexclusive_table
+from oracles import coverage_grid_oracle
 
 from dispersal import (
     CongestionPolicy,
@@ -18,7 +19,6 @@ from dispersal import (
     closed_form_mutant_payoff,
     closed_form_resident_payoff,
     coverage,
-    coverage_grid_oracle,
     coverage_optimum,
     ess_characterization,
     expected_payoff_profile,

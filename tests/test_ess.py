@@ -19,8 +19,8 @@ from dispersal import (
     ess_characterization,
     expected_payoff_profile,
     invasion_sweep,
-    mixture_payoff,
     mutant_generator,
+    site_values,
     solve_ifd,
 )
 from dispersal.ess import EQUALITY_TOL, MIN_MUTANT_DISTANCE, ess_batch, project_to_simplex
@@ -43,6 +43,13 @@ def binomial_mix_of_pure_profiles(instance, focal, resident, mutant, epsilon):
         * expected_payoff_profile(instance, focal, [resident] * r + [mutant] * (k - 1 - r))
         for r in range(k)
     )
+
+
+def mixture_payoff(instance, focal, resident, mutant, epsilon):
+    """``focal``'s payoff when each opponent is a mutant with probability epsilon: ``focal`` dotted with
+    the site values of the mixed strategy, as each ``invasion_sweep`` row computes it."""
+    mixed = Strategy.from_array((1.0 - epsilon) * resident.as_array() + epsilon * mutant.as_array())
+    return float(focal.as_array() @ site_values(instance, mixed))
 
 
 def two_dp_verdict(instance, candidate, mutant):
@@ -85,6 +92,11 @@ class TestMixturePayoff:
             expected = binomial_mix_of_pure_profiles(instance, focal, resident, mutant, epsilon)
             value = mixture_payoff(instance, focal, resident, mutant, epsilon)
             assert value == pytest.approx(expected, abs=1e-12 * profile.values[0])
+            # An invasion_sweep row holds the resident's and the mutant's mixture payoffs.
+            (row,) = invasion_sweep(instance, resident, mutant, [epsilon])
+            for player, payoff in zip((resident, mutant), row[1:]):
+                expected = binomial_mix_of_pure_profiles(instance, player, resident, mutant, epsilon)
+                assert payoff == pytest.approx(expected, abs=1e-12 * profile.values[0])
 
     def test_boundaries_reduce_to_pure_profiles(self):
         rng = np.random.default_rng(2)
@@ -116,22 +128,6 @@ class TestMixturePayoff:
         optimum = coverage_optimum(TWO_SITES, 2).strategy
         value = mixture_payoff(instance, optimum, optimum, Strategy.point_mass(1, 2), 0.5)
         assert value == pytest.approx(0.25, abs=1e-12)
-
-    def test_epsilon_out_of_range(self):
-        instance = exclusive(TWO_SITES)
-        s = Strategy((0.5, 0.5))
-        with pytest.raises(ValidationError):
-            mixture_payoff(instance, s, s, s, 1.5)
-
-    @pytest.mark.parametrize(
-        ("epsilon", "message"),
-        [(True, "epsilon: must be a number"), ("0.5", "epsilon: must be a number"), (float("nan"), "epsilon: must be finite")],
-    )
-    def test_epsilon_is_a_finite_number(self, epsilon, message):
-        s = Strategy((0.5, 0.5))
-        with pytest.raises(ValidationError) as error:
-            mixture_payoff(exclusive(TWO_SITES), s, s, s, epsilon)
-        assert str(error.value) == message
 
 
 class TestEssCharacterization:
@@ -334,6 +330,14 @@ class TestEssBatch:
                 expected = None
             assert verdict == expected
 
+    def test_any_iterable_of_mutants_gives_the_list_verdicts(self):
+        instance = GameInstance(ValueProfile((1.0, 0.7, 0.4)), 4, CongestionPolicy.sharing())
+        candidate = solve_ifd(instance).strategy
+        mutants = mutant_generator(instance.profile, 4, 7, 8) + [candidate]
+        verdicts = ess_batch(instance, candidate, mutants)
+        assert ess_batch(instance, candidate, (mutant for mutant in mutants)) == verdicts
+        assert ess_batch(instance, candidate, tuple(mutants)) == verdicts
+
     def test_mutant_of_another_size_is_rejected(self):
         instance = exclusive(TWO_SITES)
         optimum = coverage_optimum(TWO_SITES, 2).strategy
@@ -522,7 +526,7 @@ class TestInvasionSweep:
             assert b - a == pytest.approx(c - b, abs=1e-10)
 
     def test_rows_are_the_mixture_payoffs(self):
-        # The sweep evaluates one field per row for both payoffs; each must equal mixture_payoff's bit for bit.
+        # The sweep evaluates one field per row for both payoffs; each is the player dotted with its site values.
         rng = np.random.default_rng(23)
         for _ in range(20):
             sites, players = int(rng.integers(1, 7)), int(rng.integers(2, 9))

@@ -2,13 +2,14 @@ import itertools
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import log_uniform_profile, random_strategy
 
+import dispersal
 from dispersal import (
-    CollisionDistribution,
     CongestionPolicy,
     GameInstance,
     SimConfig,
@@ -17,25 +18,20 @@ from dispersal import (
     ValueProfile,
     closed_form_mutant_payoff,
     closed_form_resident_payoff,
-    collision_distribution,
     coverage,
-    coverage_grid_oracle,
     coverage_optimum,
     ess_batch,
     ess_characterization,
     expected_payoff_profile,
     invasion_sweep,
-    miss_weight,
-    mixture_payoff,
     mutant_generator,
-    payoff_single,
-    site_value,
+    project_to_simplex,
     site_values,
     symmetric_payoff,
     verify_ifd,
     welfare_optimum,
 )
-from dispersal.game import MAX_PLAYERS, _bernstein
+from dispersal.game import MAX_PLAYERS, _bernstein, _collision_pmfs
 
 TWO_SITES = ValueProfile((1.0, 0.5))
 
@@ -147,9 +143,7 @@ def case(label, name, call, valid, expected, outside):
 
 INTEGER_ARGUMENTS = [
     case("coverage", "players", lambda v: coverage(TWO_SITES, v, EVEN), 2, 1.125, 0),
-    case("miss_weight", "players", lambda v: miss_weight(TWO_SITES, v, EVEN), 2, 0.375, 0),
     case("coverage_optimum", "players", lambda v: coverage_optimum(TWO_SITES, v).strategy.probs, 2, (2 / 3, 1 / 3), 1),
-    case("coverage_grid_oracle", "players", lambda v: coverage_grid_oracle(TWO_SITES, v, 0.5)[1], 2, 1.125, 0),
     case("GameInstance", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, 2, 2, 1),
     case("GameInstance_max", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, MAX_PLAYERS,
          MAX_PLAYERS, MAX_PLAYERS + 1),
@@ -158,10 +152,12 @@ INTEGER_ARGUMENTS = [
     case("closed_forms", "players", lambda v: closed_forms(3, players=v), 3, closed_forms_direct(3, 1), 2),
     case("sharing.at", "occupancy", lambda v: SHARING.at(v), 2, 0.5, 0),
     case("table.at", "occupancy", lambda v: CongestionPolicy.from_table((1.0, 0.5)).at(v), 2, 0.5, 0),
-    case("payoff_single", "occupancy", lambda v: payoff_single(SHARED, 1, v), 2, 0.5, 3),
-    case("payoff_single", "site", lambda v: payoff_single(SHARED, v, 1), 2, 0.5, 3),
-    case("site_value", "site", lambda v: site_value(SHARED, EVEN, v), 2, 0.375, 0),
+    case("exclusive.at", "occupancy", lambda v: CongestionPolicy.exclusive().at(v), 2, 0.0, 0),
+    case("table.weights", "players", lambda v: CongestionPolicy.from_table((1.0, 0.5)).weights(v).tolist(), 2,
+         [1.0, 0.5], 0),
+    case("is_exclusive_on", "players", lambda v: SHARING.is_exclusive_on(v), 2, False, 0),
     case("point_mass", "site", lambda v: Strategy.point_mass(v, 2).probs, 2, (0.0, 1.0), 3),
+    case("point_mass", "size", lambda v: Strategy.point_mass(1, v).probs, 2, (1.0, 0.0), 0),
     case("uniform", "size", lambda v: Strategy.uniform(v).probs, 2, (0.5, 0.5), 0),
     case("SimConfig", "rounds", lambda v: SimConfig.symmetric(v, 0, SHARED, EVEN).rounds, 2, 2, 0),
     case("SimConfig", "seed", lambda v: SimConfig.symmetric(10, v, SHARED, EVEN).seed, 2, 2, 2**64),
@@ -204,16 +200,11 @@ def sized(label, name, call, valid, expected):
 # Against SHARED, EVEN's field pays (0.75, 0.375); FIRST resists EVEN from m = 1 on.
 STRATEGY_ARGUMENTS = [
     sized("site_values", "strategy", lambda s: site_values(SHARED, s).tolist(), EVEN, [0.75, 0.375]),
-    sized("site_value", "strategy", lambda s: site_value(SHARED, s, 2), EVEN, 0.375),
     sized("symmetric_payoff", "strategy", lambda s: symmetric_payoff(SHARED, s), EVEN, 0.5625),
     sized("coverage", "strategy", lambda s: coverage(TWO_SITES, 2, s), EVEN, 1.125),
-    sized("miss_weight", "strategy", lambda s: miss_weight(TWO_SITES, 2, s), EVEN, 0.375),
     sized("expected_payoff_profile", "focal", lambda s: expected_payoff_profile(SHARED, s, [EVEN]), EVEN, 0.5625),
     sized("expected_payoff_profile", "opponents[0]", lambda s: expected_payoff_profile(SHARED, EVEN, [s]), EVEN, 0.5625),
     sized("verify_ifd", "strategy", lambda s: verify_ifd(SHARED, s).site_values, EVEN, (0.75, 0.375)),
-    sized("mixture_payoff", "focal", lambda s: mixture_payoff(SHARED, s, EVEN, FIRST, 0.0), EVEN, 0.5625),
-    sized("mixture_payoff", "resident", lambda s: mixture_payoff(SHARED, EVEN, s, FIRST, 0.0), EVEN, 0.5625),
-    sized("mixture_payoff", "mutant", lambda s: mixture_payoff(SHARED, EVEN, FIRST, s, 1.0), EVEN, 0.5625),
     sized("invasion_sweep", "resident", lambda s: invasion_sweep(SHARED, s, EVEN, [0.5])[0], EVEN, (0.5, 0.5625, 0.5625)),
     sized("invasion_sweep", "mutant", lambda s: invasion_sweep(SHARED, EVEN, s, [0.5])[0], EVEN, (0.5, 0.5625, 0.5625)),
     sized("ess_batch", "candidate", lambda s: ess_batch(SHARED, s, [EVEN])[0].witness_m, FIRST, 1),
@@ -270,16 +261,9 @@ def rest(v):
     return min(1.0, max(0.0, 1.0 - v))
 
 
-# Against SHARED, the mix of EVEN and FIRST at epsilon pays EVEN 0.5625 - 0.0625 epsilon.
 RANGE_ARGUMENTS = [
     ranged("probs[1]", lambda v: Strategy((rest(v), v)).probs[1], lambda v: v, "[0, 1]",
            [BELOW_ZERO, ABOVE_ONE, -0.5, 1.5]),
-    ranged("probs_by_count[1]", lambda v: CollisionDistribution((rest(v), v)).probs_by_count[1], lambda v: v,
-           "[0, inf]", [BELOW_ZERO, -0.5]),
-    ranged("opponent_probs[1]", lambda v: collision_distribution([0.0, v]).pmf(1), lambda v: v, "[0, 1]",
-           [BELOW_ZERO, ABOVE_ONE, -0.5, 1.5]),
-    ranged("epsilon", lambda v: mixture_payoff(SHARED, EVEN, EVEN, FIRST, v), lambda v: 0.5625 - 0.0625 * v,
-           "[0, 1]", [BELOW_ZERO, ABOVE_ONE, -0.5, 1.5]),
 ]
 RANGES = ("name", "call", "expected", "bounds", "outside")
 
@@ -300,10 +284,9 @@ class TestRangeArguments:
     def test_ends_pass(self, name, call, expected, bounds, outside, end):
         assert call(end) == pytest.approx(expected(end), abs=1e-15)
 
-    @pytest.mark.parametrize(("build", "name"), [(Strategy, "probs"), (collision_distribution, "opponent_probs")])
-    def test_the_first_entry_outside_is_named(self, build, name):
-        with pytest.raises(ValidationError, match=rf"^{name}\[0\]: must lie in \[0, 1\], got 1\.5$"):
-            build((1.5, -0.5))
+    def test_the_first_entry_outside_is_named(self):
+        with pytest.raises(ValidationError, match=r"^probs\[0\]: must lie in \[0, 1\], got 1\.5$"):
+            Strategy((1.5, -0.5))
 
     def test_a_strategy_keeps_its_sum_message(self):
         with pytest.raises(ValidationError, match=r"^probs: must sum to 1 within 1e-09, got 0\.9$"):
@@ -315,11 +298,11 @@ LIST_ARGUMENTS = [
     pytest.param("probs", Strategy, [None, 0.5], id="Strategy"),
     pytest.param("values", ValueProfile, [None, 0.5], id="ValueProfile"),
     pytest.param("policy.table", lambda v: CongestionPolicy("table", v), [3, 0.5], id="CongestionPolicy"),
-    pytest.param("probs_by_count", CollisionDistribution, [None, 1], id="CollisionDistribution"),
-    pytest.param("opponent_probs", collision_distribution, [None, 0.5], id="collision_distribution"),
     pytest.param("epsilons", lambda v: invasion_sweep(SHARED, EVEN, FIRST, v), [None, 0.5], id="invasion_sweep"),
     pytest.param("opponents", lambda v: expected_payoff_profile(SHARED, EVEN, v), [None, EVEN],
                  id="expected_payoff_profile"),
+    pytest.param("mutants", lambda v: ess_batch(SHARED, FIRST, v), [None, 5, EVEN], id="ess_batch"),
+    pytest.param("strategies", lambda v: SimConfig(10, 0, SHARED, v), [None, 5, EVEN], id="SimConfig"),
 ]
 
 
@@ -332,6 +315,51 @@ class TestListArguments:
         for value in bad:
             with pytest.raises(ValidationError, match=rf"^{re.escape(name)}: must be a list, got {type(value).__name__}$"):
                 call(value)
+
+
+def listed(label, name, call, valid, expected):
+    """A list-of-numbers argument, a call taking it, and a valid list with the call's result."""
+    return pytest.param(name, call, valid, expected, id=label)
+
+
+# The valid lists hold dyadic entries, exact in every real type below.
+NUMBER_ARGUMENTS = [
+    listed("Strategy", "probs", lambda v: Strategy(v).probs, (0.5, 0.5), (0.5, 0.5)),
+    listed("ValueProfile", "values", lambda v: ValueProfile(v).values, (1.0, 0.5), (1.0, 0.5)),
+    listed("CongestionPolicy", "policy.table", lambda v: CongestionPolicy("table", v).table, (1.0, 0.5), (1.0, 0.5)),
+    listed("invasion_sweep", "epsilons", lambda v: invasion_sweep(SHARED, EVEN, EVEN, v), (0.25, 0.5),
+           [(0.25, 0.5625, 0.5625), (0.5, 0.5625, 0.5625)]),
+    listed("project_to_simplex", "point", lambda v: project_to_simplex(v).tolist(), (0.75, 0.25), [0.75, 0.25]),
+]
+NUMBERS = ("name", "call", "valid", "expected")
+
+
+class TestNumberArguments:
+    """Every list of numbers is read through one check: the first entry that is
+    not a real number, or not finite, is named, and any real type is read as a float."""
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, 1j], ids=["str", "bool", "None", "complex"])
+    @pytest.mark.parametrize(NUMBERS, NUMBER_ARGUMENTS)
+    def test_non_numbers_are_rejected(self, name, call, valid, expected, bad):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(name)}\[1\]: must be a number$"):
+            call((valid[0], bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge_int"])
+    @pytest.mark.parametrize(NUMBERS, NUMBER_ARGUMENTS)
+    def test_non_finite_entries_are_rejected(self, name, call, valid, expected, bad):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(name)}\[1\]: must be finite$"):
+            call((valid[0], bad))
+
+    @pytest.mark.parametrize("real", [float, Fraction, np.float32])
+    @pytest.mark.parametrize(NUMBERS, NUMBER_ARGUMENTS)
+    def test_any_real_type_keeps_the_result(self, name, call, valid, expected, real):
+        assert call(tuple(map(real, valid))) == expected
+
+    # An empty list of epsilons is allowed: it gives no rows.
+    @pytest.mark.parametrize(NUMBERS, [row for row in NUMBER_ARGUMENTS if row.id != "invasion_sweep"])
+    def test_empty_lists_are_rejected(self, name, call, valid, expected):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(name)}: must be a non-empty list$"):
+            call(())
 
 
 class TestStrategy:
@@ -381,86 +409,72 @@ class TestGameInstance:
 
 
 class TestPayoffSingle:
-    def test_solo_visitor_gets_full_value(self):
-        assert payoff_single(exclusive(), 1, 1) == 1.0
+    """A player at site x with l players there in all earns value(x) * C(l): the
+    payoff of a profile of point masses."""
 
-    def test_exclusive_collision_pays_nothing(self):
-        assert payoff_single(exclusive(players=3), 2, 3) == 0.0
+    @pytest.mark.parametrize(
+        ("instance", "site", "occupancy", "expected"),
+        [(exclusive(), 1, 1, 1.0), (exclusive(players=3), 2, 3, 0.0), (sharing(), 1, 2, 0.5)],
+        ids=["solo_visitor_gets_full_value", "exclusive_collision_pays_nothing", "sharing_splits_evenly"],
+    )
+    def test_point_masses_pay_value_times_weight(self, instance, site, occupancy, expected):
+        here, elsewhere = Strategy.point_mass(site, 2), Strategy.point_mass(3 - site, 2)
+        opponents = [here] * (occupancy - 1) + [elsewhere] * (instance.players - occupancy)
+        payoff = expected_payoff_profile(instance, here, opponents)
+        assert payoff == instance.profile.values[site - 1] * instance.policy.at(occupancy) == expected
 
-    def test_sharing_splits_evenly(self):
-        assert payoff_single(sharing(), 1, 2) == 0.5
 
-    def test_out_of_range_arguments(self):
-        with pytest.raises(ValidationError):
-            payoff_single(exclusive(), 3, 1)
-        with pytest.raises(ValidationError):
-            payoff_single(exclusive(), 1, 5)
+def opponent_count_pmf(opponent_probs):
+    """The pmf of how many of the opponents pick a site, each with its own probability."""
+    return _collision_pmfs(np.array(opponent_probs, dtype=float).reshape(-1, 1))[0]
 
 
 class TestCollisionDistribution:
     def test_no_opponents(self):
-        assert collision_distribution([]).probs_by_count == (1.0,)
+        assert opponent_count_pmf([]).tolist() == [1.0]
 
     def test_single_opponent(self):
-        dist = collision_distribution([0.3])
-        assert dist.probs_by_count == pytest.approx((0.7, 0.3), abs=1e-15)
+        assert opponent_count_pmf([0.3]) == pytest.approx((0.7, 0.3), abs=1e-15)
 
     def test_two_fair_coins(self):
-        dist = collision_distribution([0.5, 0.5])
-        assert dist.probs_by_count == pytest.approx((0.25, 0.5, 0.25), abs=1e-15)
+        assert opponent_count_pmf([0.5, 0.5]) == pytest.approx((0.25, 0.5, 0.25), abs=1e-15)
 
-    def test_rejects_out_of_range_probability(self):
-        with pytest.raises(ValidationError):
-            collision_distribution([0.5, 1.2])
-
-    def test_opponents_and_pmf_outside_the_support(self):
-        dist = collision_distribution([0.5, 0.5, 0.5])
-        assert dist.opponents == 3
-        assert dist.pmf(-1) == 0.0
-        assert dist.pmf(4) == 0.0
+    def test_distinct_coins(self):
+        assert opponent_count_pmf([0.3, 0.6]) == pytest.approx((0.28, 0.54, 0.18), abs=1e-15)
 
     @pytest.mark.parametrize("n,p", [(1, 0.3), (4, 0.15), (7, 0.84), (7, 0.0), (5, 1.0)])
     def test_identical_entries_match_binomial(self, n, p):
-        dist = collision_distribution([p] * n)
+        pmf = opponent_count_pmf([p] * n)
+        assert pmf.shape == (n + 1,)
         for count in range(n + 1):
             expected = math.comb(n, count) * p**count * (1 - p) ** (n - count)
-            assert dist.pmf(count) == pytest.approx(expected, abs=1e-12)
+            assert pmf[count] == pytest.approx(expected, abs=1e-12)
 
-    def test_validation_of_constructed_distribution(self):
-        with pytest.raises(ValidationError, match=r"^probs_by_count: must sum to 1 within 1e-12, got 0\.9$"):
-            CollisionDistribution((0.5, 0.4))
-        with pytest.raises(ValidationError, match=r"^probs_by_count\[1\]: must lie in \[0, inf\], got -0\.1$"):
-            CollisionDistribution((1.1, -0.1))
-        # The upper end stays open: an entry above 1 fails on the total alone.
-        with pytest.raises(ValidationError, match=r"^probs_by_count: must sum to 1 within 1e-12, got 1\.5$"):
-            CollisionDistribution((1.5, 0.0))
-        # Finite entries whose exact sum passes the float range total inf.
-        with pytest.raises(ValidationError, match=r"^probs_by_count: must sum to 1 within 1e-12, got inf$"):
-            CollisionDistribution((1e308, 1e308))
-
-    @pytest.mark.parametrize("entry", ["0.5", True, None])
-    @pytest.mark.parametrize(
-        "build,name",
-        [(collision_distribution, "opponent_probs"), (CollisionDistribution, "probs_by_count")],
-    )
-    def test_entries_must_be_numbers(self, build, name, entry):
-        with pytest.raises(ValidationError, match=rf"^{name}\[0\]: must be a number$"):
-            build([entry, 0.5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 60])
+    def test_each_site_gets_a_distribution_with_the_poisson_binomial_moments(self, n):
+        # No check guards the pmfs once built, so the DP itself must give a
+        # distribution: non-negative, total 1, mean sum p, variance sum p(1 - p).
+        opponent_probs = np.random.default_rng(n).dirichlet(np.ones(3), size=n)
+        counts = np.arange(n + 1)
+        for pmf, p in zip(_collision_pmfs(opponent_probs), opponent_probs.T):
+            assert pmf.shape == (n + 1,) and np.all(pmf >= 0.0)
+            assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
+            assert pmf @ counts == pytest.approx(p.sum(), abs=1e-12)
+            assert pmf @ (counts - p.sum()) ** 2 == pytest.approx(np.sum(p * (1.0 - p)), abs=1e-12)
 
 
 class TestSiteValue:
     def test_exclusive_two_player_closed_form(self):
         strategy = Strategy((2 / 3, 1 / 3))
-        assert site_value(exclusive(), strategy, 1) == pytest.approx(1 / 3, abs=1e-12)
-        assert site_value(exclusive(), strategy, 2) == pytest.approx(0.5 * (2 / 3), abs=1e-12)
+        assert site_values(exclusive(), strategy) == pytest.approx((1 / 3, 0.5 * (2 / 3)), abs=1e-12)
 
     def test_unvisited_site_pays_full_value(self):
         strategy = Strategy((1.0, 0.0))
-        assert site_value(sharing(players=4), strategy, 2) == 0.5
+        assert site_values(sharing(players=4), strategy)[1] == 0.5
 
     def test_certain_collision_under_sharing(self):
         strategy = Strategy((1.0, 0.0))
-        assert site_value(sharing(), strategy, 1) == pytest.approx(0.5, abs=1e-15)
+        assert site_values(sharing(), strategy)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_decreasing_in_own_probability_for_nonconstant_policy(self):
         rng = np.random.default_rng(3)
@@ -471,7 +485,7 @@ class TestSiteValue:
             values = []
             for p in ps:
                 rest = (1.0 - p) / 2
-                values.append(site_value(instance, Strategy((p, rest, rest)), 1))
+                values.append(site_values(instance, Strategy((p, rest, rest)))[0])
             diffs = np.diff(values)
             assert np.all(diffs < 0.0)
 
@@ -509,8 +523,8 @@ class TestSiteValue:
 
     def test_non_increasing_for_flat_then_dropping_policy(self):
         instance = GameInstance(ValueProfile((1.0, 0.8)), 3, CongestionPolicy.from_table((1.0, 1.0, 0.0)))
-        low = site_value(instance, Strategy((0.2, 0.8)), 1)
-        high = site_value(instance, Strategy((0.7, 0.3)), 1)
+        low = site_values(instance, Strategy((0.2, 0.8)))[0]
+        high = site_values(instance, Strategy((0.7, 0.3)))[0]
         assert high < low
 
 
@@ -542,9 +556,7 @@ class TestOneKernelPerGame:
         assert builds == [(4, 3)]  # the patch sees the kernel's own build
         resident, mutant = Strategy((0.5, 0.3, 0.2)), Strategy.point_mass(1, 3)
         site_values(instance, resident)
-        site_value(instance, resident, 2)
         symmetric_payoff(instance, resident)
-        mixture_payoff(instance, resident, resident, mutant, 0.25)
         invasion_sweep(instance, resident, mutant, [0.1, 0.5])
         welfare_optimum(instance)
         # Only the welfare call builds one, the kernel of the game under the
@@ -646,10 +658,11 @@ class TestCoverage:
     def test_degenerate_profile(self):
         assert coverage(ValueProfile((1.0, 0.3)), 2, Strategy((1.0, 0.0))) == 1.0
 
-    def test_miss_weight_examples(self):
-        assert miss_weight(TWO_SITES, 2, Strategy((2 / 3, 1 / 3))) == pytest.approx(1 / 3, abs=1e-12)
-        assert miss_weight(TWO_SITES, 2, Strategy.point_mass(1, 2)) == 0.5
-        assert miss_weight(ValueProfile((1.0,)), 3, Strategy((1.0,))) == 0.0
+    def test_missed_value_examples(self):
+        # The value left unvisited is the total less the coverage.
+        assert 1.5 - coverage(TWO_SITES, 2, Strategy((2 / 3, 1 / 3))) == pytest.approx(1 / 3, abs=1e-12)
+        assert 1.5 - coverage(TWO_SITES, 2, Strategy.point_mass(1, 2)) == 0.5
+        assert 1.0 - coverage(ValueProfile((1.0,)), 3, Strategy((1.0,))) == 0.0
 
     def test_complement_identity(self):
         rng = np.random.default_rng(9)
@@ -658,5 +671,37 @@ class TestCoverage:
             players = int(rng.integers(1, 9))
             profile = log_uniform_profile(rng, sites)
             strategy = random_strategy(rng, sites)
-            total = coverage(profile, players, strategy) + miss_weight(profile, players, strategy)
-            assert total == pytest.approx(profile.total, abs=1e-12)
+            missed = float(np.sum(profile.as_array() * (1.0 - strategy.as_array()) ** players))
+            assert coverage(profile, players, strategy) + missed == pytest.approx(sum(profile.values), abs=1e-12)
+
+
+PUBLIC_API = {
+    "CongestionPolicy", "CoverageOptimum", "EquilibriumReport", "EssVerdict", "GameInstance", "SimConfig",
+    "SimReport", "SolverError", "Strategy", "ValidationError", "ValueProfile", "WelfareOptimum",
+    "closed_form_mutant_payoff", "closed_form_resident_payoff", "coverage", "coverage_optimum", "ess_batch",
+    "ess_characterization", "expected_payoff_profile", "invasion_sweep", "mutant_generator", "project_to_simplex",
+    "simulate", "site_values", "solve_ifd", "symmetric_payoff", "symmetric_price_of_anarchy", "verify_ifd",
+    "welfare_optimum",
+}
+# Each is another public quantity spelled out (see the README), or a test oracle in tests/oracles.py.
+REMOVED_IN_0_2_0 = [
+    "site_value", "miss_weight", "payoff_single", "mixture_payoff", "CollisionDistribution",
+    "collision_distribution", "coverage_grid_oracle", "empirical_site_values",
+]
+
+
+class TestPublicApi:
+    def test_one_name_per_quantity(self):
+        assert len(PUBLIC_API) == 29
+        assert set(dispersal.__all__) == PUBLIC_API
+        assert len(dispersal.__all__) == len(PUBLIC_API)
+        for name in PUBLIC_API:
+            assert getattr(dispersal, name) is not None
+        assert dispersal.__version__ == "0.2.0"
+
+    @pytest.mark.parametrize("name", REMOVED_IN_0_2_0)
+    def test_removed_names_are_gone(self, name):
+        with pytest.raises(ImportError):
+            exec(f"from dispersal import {name}", {})
+        for module in ("game", "ess", "solvers", "montecarlo"):
+            assert not hasattr(getattr(dispersal, module), name)

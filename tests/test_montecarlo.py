@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import log_uniform_profile, random_nonexclusive_table, random_strategy
+from oracles import empirical_site_values
 
 from dispersal import (
     CongestionPolicy,
@@ -14,7 +15,6 @@ from dispersal import (
     ValueProfile,
     coverage,
     coverage_optimum,
-    empirical_site_values,
     expected_payoff_profile,
     simulate,
     site_values,
@@ -116,7 +116,7 @@ class TestSimulate:
         instance = GameInstance(profile, 4, CongestionPolicy.sharing())
         config = SimConfig.symmetric(5_000, 3, instance, random_strategy(rng, 5))
         covered = engine_coverage(config)
-        assert float(np.max(covered)) <= profile.total + 1e-12
+        assert float(np.max(covered)) <= sum(profile.values) + 1e-12
 
     def test_negative_weights_produce_negative_payoffs(self):
         instance = GameInstance(TWO_SITES, 2, CongestionPolicy.from_table((1.0, -1.0)))
@@ -180,10 +180,16 @@ class TestEmpiricalSiteValues:
         for est, want in zip(estimates, analytic):
             assert est == pytest.approx(want, abs=5e-3)
 
-    def test_requires_symmetric_residents(self):
-        config = SimConfig(10, 0, EXCLUSIVE, (Strategy((0.5, 0.5)), Strategy((0.6, 0.4))))
-        with pytest.raises(ValidationError):
-            empirical_site_values(config)
+    @pytest.mark.parametrize(
+        "policy", [CongestionPolicy.sharing(), CongestionPolicy.from_table((1.0, 0.25, -0.5))], ids=["sharing", "table"]
+    )
+    def test_matches_analytic_site_values_off_the_exclusive_policy(self, policy):
+        # Three players, so that a site's value takes C(2) and C(3) both.
+        instance = GameInstance(TWO_SITES, 3, policy)
+        strategy = coverage_optimum(TWO_SITES, 3).strategy
+        estimates = empirical_site_values(SimConfig.symmetric(200_000, 32, instance, strategy))
+        for est, want in zip(estimates, site_values(instance, strategy)):
+            assert est == pytest.approx(want, abs=5e-3)
 
     def test_equals_resident_only_sampling(self):
         # Reference: sample only the k-1 residents (players 1..k-1) and
