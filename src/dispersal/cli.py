@@ -5,8 +5,8 @@ optimum for an instance file), ``spoa`` (symmetric price of anarchy),
 ``ess-check`` (batch stability verification against generated mutants),
 ``sweep`` (two-site competition sweep emitted as CSV plot data), and
 ``simulate`` (seeded Monte Carlo run). Exit codes: 0 success, 1 a mutant
-invades the exclusive optimum in ``ess-check``, 2 validation error, 3
-solver non-convergence with JSON diagnostics.
+invades the exclusive optimum in ``ess-check``, 2 invalid input or a file
+that cannot be read or written, 3 solver non-convergence with JSON diagnostics.
 
 ``_emit`` rounds every float of a payload to 9 decimals, so repeated runs diff clean.
 """
@@ -85,8 +85,6 @@ def _load_json(path: str):
     try:
         with open(path) as handle:
             return json.load(handle)
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # syntax (line, column), bad bytes, deep nesting
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -324,8 +322,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError) as exc:  # an OSError is a file that cannot be read or written
+        print(f"error: {exc.filename}: {exc.strerror or exc}" if isinstance(exc, OSError) else f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"error: {exc} {json.dumps(exc.diagnostics)}", file=sys.stderr)

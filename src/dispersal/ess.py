@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import (
+    STRATEGY_ERROR,
     SUPPORT_EPS,
     GameInstance,
     Strategy,
@@ -29,8 +30,8 @@ from .game import (
 )
 from .solvers import coverage_optimum
 
-# A margin within EQUALITY_TOL times the bound on its payoff terms, plus the effect of a 1e-13
-# error in the candidate, is the exact tie the characterization demands; above it wins, below it loses.
+# A margin within EQUALITY_TOL times the bound on its payoff terms, plus the effect of an error of
+# STRATEGY_ERROR in the candidate, is the exact tie the characterization demands; above it wins, below it loses.
 EQUALITY_TOL = 1e-10
 
 # Strategies closer than this in max-norm are treated as identical.
@@ -73,7 +74,7 @@ def ess_batch(instance: GameInstance, candidate: Strategy, mutants: list[Strateg
         if np.abs(difference).max() > MIN_MUTANT_DISTANCE:
             walking.append((i, difference, []))
     own, bounds, slope = f * instance.kernel(resident).T  # m = 0: the candidate's own field, for every mutant
-    drift = 1e-13 * float(np.max(np.abs(slope)))
+    drift = STRATEGY_ERROR * float(np.max(np.abs(slope)))
     values, bands = np.broadcast_to(own, (len(walking), f.size)), [EQUALITY_TOL * float(np.max(bounds)) + drift] * len(walking)
     for m in range(k):
         if not walking:
@@ -103,7 +104,7 @@ def ess_characterization(instance: GameInstance, candidate: Strategy, mutant: St
     return verdict
 
 
-def _closed_form_inputs(profile, players, support_size, n_mutants, mutant):
+def _closed_forms(profile, players, support_size, normalizer, mutant, n_mutants) -> tuple[float, float]:
     _count(players, "players", 3)
     _count(n_mutants, "n_mutants", 1, players - 2)
     _count(support_size, "support_size", 1, profile.size)
@@ -112,7 +113,12 @@ def _closed_form_inputs(profile, players, support_size, n_mutants, mutant):
         not np.any(probs[support_size:] > SUPPORT_EPS),
         f"mutant: must be supported within the first {support_size} sites",
     )
-    return profile.as_array()[:support_size], 1.0 - probs[:support_size]
+    f, one_minus = profile.as_array()[:support_size], 1.0 - probs[:support_size]
+    k, ell, alpha = players, n_mutants, normalizer
+    lead = float(np.sum(f ** (ell / (k - 1)) * one_minus**ell))
+    resident_trail = float(np.sum(f ** ((ell - 1) / (k - 1)) * one_minus**ell))
+    mutant_trail = float(np.sum(f ** (ell / (k - 1)) * one_minus ** (ell + 1)))
+    return alpha ** (k - ell - 1) * (lead - alpha * resident_trail), alpha ** (k - ell - 1) * (lead - mutant_trail)
 
 
 def closed_form_resident_payoff(
@@ -130,11 +136,7 @@ def closed_form_resident_payoff(
     players - n_mutants - 1 further optimum players. Requires the mutant
     to be supported within the optimum's support prefix.
     """
-    f, one_minus = _closed_form_inputs(profile, players, support_size, n_mutants, mutant)
-    k, ell, alpha = players, n_mutants, normalizer
-    lead = float(np.sum(f ** (ell / (k - 1)) * one_minus**ell))
-    trail = float(np.sum(f ** ((ell - 1) / (k - 1)) * one_minus**ell))
-    return alpha ** (k - ell - 1) * (lead - alpha * trail)
+    return _closed_forms(profile, players, support_size, normalizer, mutant, n_mutants)[0]
 
 
 def closed_form_mutant_payoff(
@@ -150,11 +152,7 @@ def closed_form_mutant_payoff(
     Counterpart of ``closed_form_resident_payoff`` with the mutant as the
     focal player.
     """
-    f, one_minus = _closed_form_inputs(profile, players, support_size, n_mutants, mutant)
-    k, ell, alpha = players, n_mutants, normalizer
-    lead = float(np.sum(f ** (ell / (k - 1)) * one_minus**ell))
-    trail = float(np.sum(f ** (ell / (k - 1)) * one_minus ** (ell + 1)))
-    return alpha ** (k - ell - 1) * (lead - trail)
+    return _closed_forms(profile, players, support_size, normalizer, mutant, n_mutants)[1]
 
 
 def invasion_sweep(

@@ -25,6 +25,7 @@ STRATEGY_SUM_TOL = 1e-9
 # Probabilities below this are treated as structural zeros when deciding
 # the support of a strategy.
 SUPPORT_EPS = 1e-9
+STRATEGY_ERROR = 1e-13  # the error in a strategy's probabilities that the tie bands of verify_ifd and ess_batch allow
 
 # The kernel's log C(k-1, j) is a difference of lgamma values near k ln k,
 # so its terms are off by about k ln k ulps: 4e-10 at this bound, 25 times
@@ -263,7 +264,11 @@ class GameInstance:
     policy: CongestionPolicy
 
     def __post_init__(self) -> None:
+        if not isinstance(self.profile, ValueProfile):
+            raise ValidationError(f"profile: must be a ValueProfile, got {type(self.profile).__name__}")
         _count(self.players, "players", 2, MAX_PLAYERS)
+        if not isinstance(self.policy, CongestionPolicy):
+            raise ValidationError(f"policy: must be a CongestionPolicy, got {type(self.policy).__name__}")
         self.policy.at(self.players)  # a table must reach C(players)
 
     @property

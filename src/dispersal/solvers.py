@@ -11,11 +11,13 @@ coverage against the optimum.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .game import (
+    STRATEGY_ERROR,
     SUPPORT_EPS,
     CongestionPolicy,
     GameInstance,
@@ -106,12 +108,15 @@ class WelfareOptimum:
 
 def _pareto(f: np.ndarray, exponent: float) -> tuple[np.ndarray, float]:
     """Pareto shape 1 - normalizer * f ** -exponent on the largest prefix where it is a distribution, 0 beyond, and its normalizer."""
-    root = f**exponent
+    # A root below the floor, where 1 / root or its sum could overflow, is held at the floor and its
+    # site left out of the support, in which it would get a probability below the floor anyway.
+    floor = f.size / sys.float_info.max
+    root = np.maximum(f**exponent, floor)
     inv_root = 1.0 / root
     cum_inv = np.cumsum(inv_root)
     # scan[y-1] = sum_{x <= y} (1 - (f(y)/f(x)) ** exponent), non-decreasing in y
     scan = np.arange(1, f.size + 1) - root * cum_inv
-    support = int(np.nonzero(scan <= 1.0 + 1e-12)[0][-1]) + 1
+    support = int(np.nonzero((scan <= 1.0 + 1e-12) & (root > floor))[0][-1]) + 1
     alpha = (support - 1) / float(cum_inv[support - 1])
     probs = np.zeros(f.size)
     probs[:support] = 1.0 - alpha * inv_root[:support]
@@ -154,12 +159,12 @@ def verify_ifd(instance: GameInstance, strategy: Strategy) -> EquilibriumReport:
     Supported sites must share a common expected value and every
     unsupported site must fall strictly below it. Violations are reported
     through ``residual``, never raised, against ``IFD_RESIDUAL_TOL`` times the
-    term bound max_x f(x) E|C|(1 + B_x) (Higham 2002, ch. 4) plus 1e-13 times
-    max_x f(x) |R'(p(x))|, the first-order effect of a 1e-13 error in p.
+    term bound max_x f(x) E|C|(1 + B_x) (Higham 2002, ch. 4) plus ``STRATEGY_ERROR`` times
+    max_x f(x) |R'(p(x))|, the first-order effect of that error in p.
     """
     probs = _sized(strategy, instance.sites, "strategy")
     values, bound, slope = instance.profile.as_array() * instance.kernel(probs).T
-    tolerance = IFD_RESIDUAL_TOL * float(np.max(bound)) + 1e-13 * float(np.max(np.abs(slope)))
+    tolerance = IFD_RESIDUAL_TOL * float(np.max(bound)) + STRATEGY_ERROR * float(np.max(np.abs(slope)))
     supported = probs > SUPPORT_EPS
     n_support = int(np.count_nonzero(supported))
     support_is_prefix = bool(np.all(supported[:n_support]) and not np.any(supported[n_support:]))

@@ -71,6 +71,14 @@ class TestSolve:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["solve", "--instance", "/nonexistent.json", "--mode", "ifd"])
         assert code == 2
+        assert err == "error: /nonexistent.json: No such file or directory\n"
+
+    @pytest.mark.parametrize("second", [1e-309, 1e-320])
+    def test_sigma_star_second_value_below_the_reciprocal_range(self, tmp_path, capsys, second):
+        path = write_instance(tmp_path, values=[1.0, second])
+        code, out, err = run(capsys, ["solve", "--instance", path, "--mode", "sigma-star"])
+        assert code == 0, err
+        assert json.loads(out)["strategy"] == [1.0, 0.0]
 
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -424,6 +432,16 @@ class TestSweep:
         assert err == f"error: {bound.split('=')[0]}: must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_exit_2_naming_the_path(self, capsys, tmp_path, target):
+        out = tmp_path / target
+        code, _, err = run(capsys, ["sweep", "--f2", "0.5", "--c-min", "0.0", "--c-max", "0.5",
+                                    "--steps", "3", "--out", str(out)])
+        assert code == 2
+        reason = "No such file or directory" if target.startswith("missing") else "Is a directory"
+        assert err == f"error: {out}: {reason}\n"
+        assert not (tmp_path / "missing").exists() and list(tmp_path.iterdir()) == []
+
     def test_f2_must_be_positive(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
@@ -507,6 +525,25 @@ class TestSimulate:
         )
         assert code == 2
         assert f"{strategy_path}: probs[0]: must be a number" in err
+
+    @pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_exit_2_naming_the_path(self, tmp_path, capsys, target):
+        path = write_instance(tmp_path)
+        out = tmp_path / target
+        code, stdout, err = run(capsys, ["simulate", "--instance", path, "--strategy", "sigma-star",
+                                         "--rounds", "10", "--out", str(out)])
+        assert code == 2
+        reason = "No such file or directory" if target.startswith("missing") else "Is a directory"
+        assert (stdout, err) == ("", f"error: {out}: {reason}\n")
+        assert [entry.name for entry in tmp_path.iterdir()] == ["instance.json"]
+
+    def test_missing_strategy_file_names_it(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        missing = tmp_path / "missing.json"
+        code, _, err = run(capsys, ["simulate", "--instance", path, "--strategy", "file",
+                                    "--strategy-file", str(missing)])
+        assert code == 2
+        assert err == f"error: {missing}: No such file or directory\n"
 
     def test_file_source_requires_path(self, tmp_path, capsys):
         path = write_instance(tmp_path)

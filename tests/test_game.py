@@ -247,6 +247,23 @@ class TestStrategyArguments:
         assert call(valid) == pytest.approx(expected, abs=1e-12)
 
 
+class TestGameInstanceParts:
+    """A game's profile and policy are checked on construction, with the message shape of a
+    strategy's check, not left to fail later with an AttributeError."""
+
+    @pytest.mark.parametrize("wrong", [None, [1.0, 0.5], (1.0, 0.5)], ids=["None", "list", "tuple"])
+    def test_non_profiles_are_rejected(self, wrong):
+        message = rf"^profile: must be a ValueProfile, got {type(wrong).__name__}$"
+        with pytest.raises(ValidationError, match=message):
+            GameInstance(wrong, 2, CongestionPolicy.sharing())
+
+    @pytest.mark.parametrize("wrong", [None, "sharing", [1.0, 0.5]], ids=["None", "str", "list"])
+    def test_non_policies_are_rejected(self, wrong):
+        message = rf"^policy: must be a CongestionPolicy, got {type(wrong).__name__}$"
+        with pytest.raises(ValidationError, match=message):
+            GameInstance(TWO_SITES, 2, wrong)
+
+
 def ranged(name, call, expected, bounds, outside):
     """A closed-range argument, a call taking a value for it, the call's result as a function
     of that value, the range as its error prints it, and values just outside the range."""

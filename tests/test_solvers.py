@@ -94,6 +94,16 @@ class TestCoverageOptimum:
         with pytest.raises(ValidationError):
             coverage_optimum(TWO_SITES, 1)
 
+    @pytest.mark.parametrize("second", [5e-309, 1e-309, 1e-320])
+    def test_second_site_below_the_reciprocal_range(self, second):
+        # At k = 2 the Pareto root is f itself, so 1 / f(2) overflows; the
+        # site is left out of the support instead of turning into a NaN.
+        profile = ValueProfile((1.0, second))
+        result = coverage_optimum(profile, 2)  # warnings are errors in this suite
+        assert result.strategy.probs == (1.0, 0.0)
+        assert result.support_size == 1
+        assert result.strategy == solve_ifd(exclusive(profile)).strategy
+
 
 class TestVerifyIfd:
     def test_residual_measures_value_spread(self):
