@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -31,6 +32,8 @@ STRATEGY_ERROR = 1e-13  # the error in a strategy's probabilities that the tie b
 # so its terms are off by about k ln k ulps: 4e-10 at this bound, 25 times
 # inside the solvers' 1e-8 tolerance. An evaluation holds k floats a site.
 MAX_PLAYERS = 10**5
+# The kernel sums one window of its rows from this degree on; each tail it drops holds below e^-_TAIL = 2^-80.
+_WINDOW_FROM, _TAIL = 64, 80 * math.log(2)
 
 
 class ValidationError(ValueError):
@@ -128,6 +131,8 @@ class ValueProfile:
         for i, v in enumerate(vals):
             if not v > 0.0:
                 raise ValidationError(f"values[{i}]: must be strictly positive")
+        # The total bounds the coverage and every mean a simulation reports.
+        _check(sum(vals) <= sys.float_info.max, "values: their total overflows a float")
         order = sorted(range(len(vals)), key=lambda i: -vals[i])
         object.__setattr__(self, "values", tuple(vals[i] for i in order))
         object.__setattr__(self, "input_order", tuple(order))
@@ -270,6 +275,17 @@ class GameInstance:
         if not isinstance(self.policy, CongestionPolicy):
             raise ValidationError(f"policy: must be a CongestionPolicy, got {type(self.policy).__name__}")
         self.policy.at(self.players)  # a table must reach C(players)
+        if self.policy.kind != "table":  # the other kinds keep |C| and its steps within 1
+            return
+        # Payoffs reach f(1) |C(players)|, and the kernel's R' coefficients (players - 1) times C's largest step.
+        table = self.policy.table[: self.players]
+        floor, drop = table[-1], max(map(operator.sub, table, table[1:]))
+        if not self.profile.values[0] * -floor <= sys.float_info.max:  # messages are formatted only on failure
+            top = self.profile.values[0]
+            raise ValidationError(f"policy.table: the largest value times C({self.players}), {top:g} * {floor:g}, overflows a float")
+        if not (self.players - 1) * drop <= sys.float_info.max:
+            k = self.players
+            raise ValidationError(f"policy.table: (players - 1) times the largest step of C, {k - 1} * {drop:g}, overflows a float")
 
     @property
     def sites(self) -> int:
@@ -310,18 +326,37 @@ def _bernstein(coeffs):
     in log space, from log C(n, j) computed once with ``lgamma``, so no
     coefficient overflows at any n; terms below exp(-745) underflow to 0,
     and all-zero rows of coefficients are skipped.
+
+    From n = 64 on, a call sums only rows n min p - h to n max p + h: by
+    Bernstein's inequality each tail of Bin(n, p) beyond np +- h, h = T/3 +
+    sqrt(T^2/9 + 2Tnp(1-p)), T = 80 ln 2, holds less than 2^-80, and h is taken
+    at the p in [min p, max p] nearest 1/2. That window is taken if it keeps
+    at most half the rows and every p is finite, and kept if the 2^-79 max|c|
+    it may drop is within 2^-53 of its term bound E|c[B]| in every column and
+    at every p; otherwise the full row is summed.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n, j = len(coeffs) - 1, np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
     log_comb = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j])
-    return partial(_bernstein_at, log_comb, j, n, coeffs[j])  # a partial pickles, as a cached kernel must
+    sizes = np.abs(coeffs[j]) if n >= _WINDOW_FROM else None
+    limit = None if sizes is None else 2.0**-26 * sizes.max(axis=0, initial=0.0)  # 2^53 times 2^-79 max|c|
+    return partial(_bernstein_at, log_comb, j, n, coeffs[j], sizes, limit)  # a partial pickles, as a cached kernel must
 
 
-def _bernstein_at(log_comb: np.ndarray, j: np.ndarray, n: int, coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _bernstein_at(log_comb: np.ndarray, j: np.ndarray, n: int, coeffs: np.ndarray, sizes, limit, p: np.ndarray) -> np.ndarray:
     # log 0 is floored to a finite value, so 0 * log 0 is 0 and n * log 0 still fits a float.
     floor = -sys.float_info.max / (n + 2)
     with np.errstate(divide="ignore"):
         log_p, log_q = np.maximum(np.log(p), floor)[..., None], np.maximum(np.log1p(-p), floor)[..., None]
+    if n >= _WINDOW_FROM and p.size:
+        low, high = float(p.min()), float(p.max())
+        q = min(max(0.5, low), high)  # no p in [low, high] has a larger p(1 - p)
+        h = _TAIL / 3 + math.sqrt(_TAIL**2 / 9 + 2 * _TAIL * n * q * (1 - q))
+        a, b = j.searchsorted(n * low - h), j.searchsorted(n * high + h, "right")
+        if low <= high and 2 * (b - a) <= j.size:  # low <= high fails for a NaN p
+            terms = np.exp(log_comb[a:b] + j[a:b] * log_p + (n - j[a:b]) * log_q)
+            if np.all(limit <= terms @ sizes[a:b]):
+                return terms @ coeffs[a:b]
     return np.exp(log_comb + j * log_p + (n - j) * log_q) @ coeffs
 
 

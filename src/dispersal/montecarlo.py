@@ -140,21 +140,25 @@ def simulate(config: SimConfig) -> SimReport:
     coverage is the summed value of all distinct visited sites.
     """
     instance, rounds, m, k = config.instance, config.rounds, config.instance.sites, config.instance.players
-    payoff = np.outer(instance.profile.as_array(), instance.policy.weights(k)).ravel()
+    f, weights = instance.profile.as_array(), instance.policy.weights(k)
+    # Moments in units of 2^e, e the exponent of f(1) max|C| for the payoffs and of f(1), or -1022 if less, for the
+    # coverage, which is at most M f(1); so no square overflows. Scaling by 2^e is exact in the normal range.
+    units = np.r_[np.full(k, math.frexp(f[0] * max(1.0, -weights[-1]))[1]), max(math.frexp(f[0])[1], -1022)]
+    payoff, coverage_scale = np.ldexp(np.outer(f, weights), -units[0]).ravel(), math.ldexp(1.0, -int(units[k]))
     histogram = np.zeros(m * k, dtype=np.int64)
     sums, squares, done = np.zeros(k + 1), np.zeros(k + 1), 0
     for cells, covered in _chunks(config, range(k)):
         c = covered.size
         histogram += np.bincount(cells.ravel(), minlength=m * k)
-        samples = np.vstack([payoff[cells], covered])  # each player's payoff, then the coverage
+        samples = np.vstack([payoff[cells], covered * coverage_scale])  # each player's payoff, then the coverage
         # Merge the chunk's sum and squared deviations (summed as np.var does).
         chunk_sum = samples.sum(axis=1)
         squares += np.square(chunk_sum / c - sums / max(done, 1)) * (done * c / (done + c))
         samples -= (chunk_sum / c)[:, None]
         squares += np.square(samples, out=samples).sum(axis=1)
         sums, done = sums + chunk_sum, done + c
-    means = sums / rounds
-    errors = np.sqrt(squares / (rounds - 1)) / math.sqrt(rounds) if rounds > 1 else np.zeros(k + 1)
+    means = np.ldexp(sums / rounds, units)
+    errors = np.ldexp(np.sqrt(squares / (rounds - 1)) / math.sqrt(rounds), units) if rounds > 1 else np.zeros(k + 1)
     return SimReport(
         mean_payoff_per_player=tuple(means[:k].tolist()),
         mean_coverage=float(means[k]),

@@ -1,9 +1,13 @@
 """Brute-force reference oracles the tests check the library against.
 
-Each reaches its answer by a route of its own, an exhaustive grid search or
-the game played out, so that agreement with the closed forms means something.
+Each reaches its answer by a route of its own, an exhaustive grid search,
+the game played out, or every term of a sum that the library truncates, so
+that agreement with the library means something.
 They take the library's private engines and check none of their arguments.
 """
+
+import math
+import sys
 
 import numpy as np
 
@@ -24,6 +28,23 @@ def coverage_grid_oracle(profile: ValueProfile, players: int, grid_step: float) 
     counts = _allocate_units(profile.as_array()[:, None] * (1.0 - (1.0 - units[None, :]) ** players))
     strategy = Strategy.from_array(counts / n)
     return strategy, coverage(profile, players, strategy)
+
+
+def full_row_bernstein(coeffs, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[coeffs[B]] and its term bound E|coeffs[B]|, B ~ Binomial(len(coeffs) - 1, p), each summed over every row.
+
+    The kernel's log-space expression with no window: every non-zero row of
+    ``coeffs`` contributes at every p, so the kernel's window can be checked
+    against it term for term.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    n, j = len(coeffs) - 1, np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
+    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j])
+    floor = -sys.float_info.max / (n + 2)
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.maximum(np.log(p), floor)[..., None], np.maximum(np.log1p(-p), floor)[..., None]
+    terms = np.exp(log_comb + j * log_p + (n - j) * log_q)
+    return terms @ coeffs[j], terms @ np.abs(coeffs[j])
 
 
 def empirical_site_values(config: SimConfig) -> list[float]:

@@ -643,6 +643,35 @@ class TestValidationSurface:
         assert field in err.getvalue()
 
 
+BEYOND_FLOATS = [
+    # R' at p = 0 would be 2 (C(2) - C(1)) = -2e308; it printed two RuntimeWarnings and exit 3.
+    pytest.param([1.0, 0.5], {"type": "table", "table": [1.0, -1e308, -1.5e308]}, ("solve", "--mode", "ifd"),
+                 "policy.table: (players - 1) times the largest step of C, 2 * 1e+308, overflows a float", id="slope"),
+    # A collision would pay 10 * -1e308; simulate printed -Infinity and exit 0.
+    pytest.param([10.0, 5.0], {"type": "table", "table": [1.0, -1e308, -1e308]}, ("simulate", "--strategy", "ifd"),
+                 "policy.table: the largest value times C(3), 10 * -1e+308, overflows a float", id="payoff"),
+    # The coverage would reach 2.7e308; simulate printed Infinity and exit 0.
+    pytest.param([1.5e308, 1.2e308], {"type": "sharing"}, ("simulate", "--strategy", "sigma-star"),
+                 "values: their total overflows a float", id="total"),
+]
+
+
+class TestBeyondTheFloatRange:
+    @pytest.mark.parametrize("values, policy, command, message", BEYOND_FLOATS)
+    def test_exit_2_without_a_warning(self, tmp_path, values, policy, command, message):
+        path = write_instance(tmp_path, values=values, players=3, policy=policy)
+        result = run_isolated("-m", "dispersal.cli", command[0], "--instance", path, *command[1:])
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {path}: {message}\n")
+
+    def test_simulate_at_large_scales_prints_finite_numbers(self, tmp_path):
+        # The squares of payoffs near 1e200 overflowed, and every standard error printed NaN.
+        path = write_instance(tmp_path, values=[1e200, 5e199], players=3, policy={"type": "sharing"})
+        result = run_isolated("-m", "dispersal.cli", "simulate", "--instance", path, "--strategy", "sigma-star")
+        assert (result.returncode, result.stderr) == (0, "")
+        report = json.loads(result.stdout, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+        assert 0.0 < report["std_error_coverage"] < report["mean_coverage"] < 1.5e200
+
+
 @st.composite
 def valid_instances(draw):
     """A valid instance file: 1-8 values from 1e-30 to 1e30, ties included,

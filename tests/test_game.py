@@ -2,11 +2,15 @@ import itertools
 import math
 import pickle
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import log_uniform_profile, random_strategy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import full_row_bernstein
 
 import dispersal
 from dispersal import (
@@ -31,7 +35,7 @@ from dispersal import (
     verify_ifd,
     welfare_optimum,
 )
-from dispersal.game import MAX_PLAYERS, _bernstein, _collision_pmfs
+from dispersal.game import _WINDOW_FROM, MAX_PLAYERS, _bernstein, _collision_pmfs
 
 TWO_SITES = ValueProfile((1.0, 0.5))
 
@@ -59,6 +63,13 @@ class TestValueProfile:
     def test_rejects_invalid_values(self, bad):
         with pytest.raises(ValidationError):
             ValueProfile(bad)
+
+    def test_rejects_values_whose_total_overflows(self):
+        # The total bounds the coverage and every simulated mean.
+        assert ValueProfile((sys.float_info.max,)).values == (sys.float_info.max,)
+        assert ValueProfile((1e308, 7e307)).values == (1e308, 7e307)
+        with pytest.raises(ValidationError, match=r"^values: their total overflows a float$"):
+            ValueProfile((1.5e308, 1.2e308))
 
 
 class TestCongestionPolicy:
@@ -406,6 +417,25 @@ class TestGameInstance:
         with pytest.raises(ValidationError):
             GameInstance(TWO_SITES, 3, CongestionPolicy.from_table((1.0, 0.5)))
 
+    @pytest.mark.parametrize(
+        "values, table, message",
+        [
+            # R' at p = 0 is 2 (C(2) - C(1)) = -2e308.
+            pytest.param((1.0, 0.5), (1.0, -1e308, -1.5e308),
+                         r"\(players - 1\) times the largest step of C, 2 \* 1e\+308", id="slope"),
+            # A collision pays 10 * -1e308.
+            pytest.param((10.0, 5.0), (1.0, -1e308), r"the largest value times C\(2\), 10 \* -1e\+308", id="payoff"),
+        ],
+    )
+    def test_rejects_tables_whose_kernel_or_payoffs_overflow(self, values, table, message):
+        with pytest.raises(ValidationError, match=rf"^policy\.table: {message}, overflows a float$"):
+            GameInstance(ValueProfile(values), len(table), CongestionPolicy.from_table(table))
+
+    def test_tables_at_the_edge_of_the_float_range_evaluate(self):
+        # (k - 1) max|diff C| = 1.6e308 and f(1) |C(k)| = 1.6e308 both fit; no warning is raised.
+        instance = GameInstance(TWO_SITES, 3, CongestionPolicy.from_table((1.0, -0.8e308, -1.6e308)))
+        assert np.all(np.isfinite(instance.kernel(np.array([0.0, 0.5, 1.0]))))
+
     @pytest.mark.parametrize("p, columns", [(0.0, (1.0, 1.0, -6.0)), (0.5, (-1.75, 2.25, -5.0)), (1.0, (-4.0, 4.0, -4.0))])
     def test_kernel_gives_r_its_term_bound_and_r_prime(self, p, columns):
         # B ~ Bin(2, p): R = E[C(1 + B)], the term bound E|C|(1 + B) that
@@ -592,6 +622,103 @@ class TestOneKernelPerGame:
             for strategy in (Strategy.uniform(sites), Strategy.point_mass(1, sites), random_strategy(rng, sites)):
                 expected = profile.as_array() * vector(strategy.as_array())
                 assert site_values(instance, strategy) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+# p values at the ends of [0, 1] and of the float range.
+SPECIAL_PS = (0.0, 1.0, 5e-324, sys.float_info.min, 2.0**-53, 0.5, 1.0 - 2.0**-53)
+
+
+def kernel_coefficients(weights):
+    """The columns of ``GameInstance.kernel``: C, |C| and R' elevated to degree k - 1."""
+    steps, j = np.pad(np.diff(weights), 1), np.arange(weights.size)
+    return np.column_stack((weights, np.abs(weights), j * steps[:-1] + (weights.size - 1 - j) * steps[1:]))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A game of k <= 3,000 players under sharing or a non-increasing table, which may
+    go flat, reach 0 (zero rows) or fall far below it, and an array of p with the
+    ends of the float range, ties, and clusters narrow enough for a window."""
+    players = draw(st.integers(2, 3000) | st.sampled_from([_WINDOW_FROM, _WINDOW_FROM + 1, _WINDOW_FROM + 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        policy = CongestionPolicy.sharing()
+    else:
+        density, scale = draw(st.sampled_from([0.05, 0.5, 1.0])), draw(st.sampled_from([0.5, 4.0, 1e3]))
+        drops = rng.uniform(0.0, scale / players, players - 1) * (rng.random(players - 1) < density)
+        table = np.r_[1.0, 1.0 - np.cumsum(drops)]
+        policy = CongestionPolicy.from_table(np.maximum(table, 0.0) if draw(st.booleans()) else table)
+    center = draw(st.sampled_from(SPECIAL_PS) | st.floats(0.0, 1.0))
+    spread = draw(st.sampled_from([0.0, 1e-5, 1e-3, 1e-2, 1.0]))
+    ps = np.clip(center + spread * rng.standard_normal(draw(st.integers(1, 20))), 0.0, 1.0)
+    near = [p for p in SPECIAL_PS if abs(p - center) <= spread]
+    extremes = SPECIAL_PS if draw(st.integers(0, 3)) == 0 else near or [center]
+    ps = np.r_[ps, draw(st.lists(st.sampled_from(extremes), max_size=3)), ps[: draw(st.integers(0, 3))]]
+    return policy.weights(players), rng.permutation(ps)
+
+
+class TestWindowedKernel:
+    """From degree 64 on, the kernel sums one window of its rows; it must agree with
+    the sum over every row, and below degree 64 be that sum bit for bit."""
+
+    @settings(max_examples=300)
+    @given(case=kernel_cases())
+    def test_window_matches_the_full_row(self, case):
+        # Observed over these 300 examples, 174 of them at n >= 64: at most 2.4 ulps of the term bound.
+        weights, ps = case
+        coeffs, n = kernel_coefficients(weights), weights.size - 1
+        got = GameInstance(TWO_SITES, weights.size, CongestionPolicy.from_table(weights)).kernel(ps)
+        want, bound = full_row_bernstein(coeffs, ps)
+        if n < _WINDOW_FROM:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= (n + 2) * 2.0**-53 * bound)
+
+    def test_window_is_taken_on_a_narrow_spread_only(self, monkeypatch):
+        widths = []
+
+        class CountedExp:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x):
+                widths.append(np.shape(x)[-1])
+                return np.exp(x)
+
+        monkeypatch.setattr("dispersal.game.np", CountedExp())
+        kernel = GameInstance(TWO_SITES, 2000, CongestionPolicy.sharing()).kernel
+        narrow, wide = np.full(20, 1e-3), np.array([0.2, 0.7])
+        kernel(narrow), kernel(wide), GameInstance(TWO_SITES, _WINDOW_FROM, SHARING).kernel(narrow)
+        # About 2 + 37 + sqrt(2 T n p) rows around np = 2. The window of the spread-out p, about
+        # rows 145 to 1654, keeps more than half the row, and at degree 63 none is taken: both sum every row.
+        assert widths[0] < 100 and widths[1:] == [2000, _WINDOW_FROM]
+
+    def test_dropped_mass_above_the_check_falls_back_to_the_full_row(self):
+        # At p = 0.5 no kept row (0, 1, n - 1, n) lies in the window, rows 313 to 685, whose sum
+        # would be 0; R(0.5) is 2^-n (1 - 0.5).
+        players = 1000
+        coeffs = kernel_coefficients(np.r_[1.0, np.zeros(players - 2), -0.5])
+        ps = np.array([0.5, 0.5])
+        got = _bernstein(coeffs)(ps)
+        assert got[0, 0] == pytest.approx(2.0 ** -(players - 1) * 0.5, rel=1e-12)
+        assert got.tobytes() == full_row_bernstein(coeffs, ps)[0].tobytes()
+
+    def test_nan_p_gives_nan_rows(self):
+        # solve_ifd may step on a NaN guess; the row is NaN, and nothing raises.
+        kernel = GameInstance(TWO_SITES, 2000, CongestionPolicy.sharing()).kernel
+        got = kernel(np.array([1e-3, np.nan, 2e-3]))
+        assert np.all(np.isnan(got[1]))
+        assert got[[0, 2]] == pytest.approx(kernel(np.array([1e-3, 2e-3])), rel=1e-15, abs=0.0)
+
+    def test_p_of_any_shape_shares_one_window(self):
+        # The welfare search evaluates (M, 5) local grids.
+        rng = np.random.default_rng(5)
+        weights = SHARING.weights(1000)
+        ps = np.clip(rng.dirichlet(np.ones(20))[:, None] + 1e-3 * np.arange(-2, 3), 0.0, 1.0)
+        got = GameInstance(TWO_SITES, 1000, SHARING).kernel(ps)
+        want, bound = full_row_bernstein(kernel_coefficients(weights), ps)
+        assert got.shape == (20, 5, 3)
+        assert np.all(np.abs(got - want) <= 1001 * 2.0**-53 * bound)
 
 
 class TestExpectedPayoffProfile:

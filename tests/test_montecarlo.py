@@ -123,6 +123,22 @@ class TestSimulate:
         report = simulate(SimConfig.symmetric(200, 11, instance, Strategy.point_mass(1, 2)))
         assert report.mean_payoff_per_player == (-1.0, -1.0)
 
+    @pytest.mark.parametrize("policy", [CongestionPolicy.sharing(), CongestionPolicy.from_table((1.0, 0.5, -3.0))])
+    @pytest.mark.parametrize("scale", [900, -900])
+    def test_reports_scale_exactly_with_the_values(self, policy, scale):
+        # Moments are kept in units of a power of two near f(1), so a report at values * 2^j is the
+        # report at the values times 2^j, bit for bit: at 2^900 no square overflows, at 2^-900 none underflows.
+        rng = np.random.default_rng(46)
+        values, strategy = log_uniform_profile(rng, 4).values, random_strategy(rng, 4)
+        reports = [
+            simulate(SimConfig.symmetric(3_000, 8, GameInstance(ValueProfile(np.ldexp(values, j)), 3, policy), strategy))
+            for j in (0, scale)
+        ]
+        for field in ("mean_payoff_per_player", "mean_coverage", "std_error_payoff", "std_error_coverage"):
+            assert np.array_equal(np.ldexp(getattr(reports[0], field), scale), getattr(reports[1], field))
+        assert reports[0].occupancy_histogram == reports[1].occupancy_histogram
+        assert 0.0 < min(reports[1].std_error_payoff)
+
     def test_occupancy_counts_do_not_wrap_beyond_int16(self):
         players = 33_000
         instance = GameInstance(ValueProfile((1.0,)), players, CongestionPolicy.sharing())
