@@ -32,8 +32,10 @@ STRATEGY_ERROR = 1e-13  # the error in a strategy's probabilities that the tie b
 # so its terms are off by about k ln k ulps: 4e-10 at this bound, 25 times
 # inside the solvers' 1e-8 tolerance. An evaluation holds k floats a site.
 MAX_PLAYERS = 10**5
-# The kernel sums one window of its rows from this degree on; each tail it drops holds below e^-_TAIL = 2^-80.
-_WINDOW_FROM, _TAIL = 64, 80 * math.log(2)
+# Each tail that the kernel's window drops holds below e^-_TAIL = 2^-80. Even at p = 0 the window keeps the
+# ceil(2 _TAIL / 3) = 37 rows up to 2 _TAIL / 3, so it can keep at most half a row only from this degree on: 73.
+_TAIL = 80 * math.log(2)
+_WINDOW_FROM = 2 * math.ceil(2 * _TAIL / 3) - 1
 
 
 class ValidationError(ValueError):
@@ -297,7 +299,8 @@ class GameInstance:
         (k-1) diff(C) in the degree k-2 basis, raised to R's degree k-1 (Farouki & Rajan 1987)."""
         weights, j = self.policy.weights(self.players), np.arange(self.players)
         steps = np.pad(np.diff(weights), 1)
-        return _bernstein(np.column_stack((weights, np.abs(weights), j * steps[:-1] + (self.players - 1 - j) * steps[1:])))
+        columns = weights, np.abs(weights), j * steps[:-1] + (self.players - 1 - j) * steps[1:]
+        return _bernstein(np.column_stack(columns), windowed=True)
 
 
 def _collision_pmfs(opponent_probs: np.ndarray) -> np.ndarray:
@@ -319,7 +322,7 @@ def _collision_pmfs(opponent_probs: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def _bernstein(coeffs):
+def _bernstein(coeffs, windowed=False):
     """Evaluator of E[coeffs[B]], B ~ Binomial(len(coeffs) - 1, p), for arrays of p in [0, 1].
 
     A matrix ``coeffs`` gives one expectation per column. The pmf is taken
@@ -327,28 +330,34 @@ def _bernstein(coeffs):
     coefficient overflows at any n; terms below exp(-745) underflow to 0,
     and all-zero rows of coefficients are skipped.
 
-    From n = 64 on, a call sums only rows n min p - h to n max p + h: by
-    Bernstein's inequality each tail of Bin(n, p) beyond np +- h, h = T/3 +
-    sqrt(T^2/9 + 2Tnp(1-p)), T = 80 ln 2, holds less than 2^-80, and h is taken
-    at the p in [min p, max p] nearest 1/2. That window is taken if it keeps
-    at most half the rows and every p is finite, and kept if the 2^-79 max|c|
-    it may drop is within 2^-53 of its term bound E|c[B]| in every column and
-    at every p; otherwise the full row is summed.
+    A ``windowed`` evaluator of degree n >= 73 sums only rows n min p - h to
+    n max p + h at a call: by Bernstein's inequality each tail of Bin(n, p)
+    beyond np +- h, h = T/3 + sqrt(T^2/9 + 2Tnp(1-p)), T = 80 ln 2, holds less
+    than 2^-80, and h is taken at the p in [min p, max p] nearest 1/2. That
+    window is taken if it keeps at most half the rows and every p is finite,
+    and kept if the 2^-79 max|c| it may drop is within 2^-53 of its term
+    bound E|c[B]| in every column and at every p; otherwise the full row is
+    summed. Its |c| is built once, which pays only on an evaluator that is
+    called again and again, as ``GameInstance.kernel`` is; the ESS walk's,
+    built and called once per m, sum the full row.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n, j = len(coeffs) - 1, np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
     log_comb = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j])
-    sizes = np.abs(coeffs[j]) if n >= _WINDOW_FROM else None
-    limit = None if sizes is None else 2.0**-26 * sizes.max(axis=0, initial=0.0)  # 2^53 times 2^-79 max|c|
-    return partial(_bernstein_at, log_comb, j, n, coeffs[j], sizes, limit)  # a partial pickles, as a cached kernel must
+    window = None
+    if windowed and n >= _WINDOW_FROM:
+        sizes = np.abs(coeffs[j])
+        window = sizes, 2.0**-26 * sizes.max(axis=0, initial=0.0)  # 2^53 times 2^-79 max|c|
+    return partial(_bernstein_at, log_comb, j, n, coeffs[j], window)  # a partial pickles, as a cached kernel must
 
 
-def _bernstein_at(log_comb: np.ndarray, j: np.ndarray, n: int, coeffs: np.ndarray, sizes, limit, p: np.ndarray) -> np.ndarray:
+def _bernstein_at(log_comb: np.ndarray, j: np.ndarray, n: int, coeffs: np.ndarray, window, p: np.ndarray) -> np.ndarray:
     # log 0 is floored to a finite value, so 0 * log 0 is 0 and n * log 0 still fits a float.
     floor = -sys.float_info.max / (n + 2)
     with np.errstate(divide="ignore"):
         log_p, log_q = np.maximum(np.log(p), floor)[..., None], np.maximum(np.log1p(-p), floor)[..., None]
-    if n >= _WINDOW_FROM and p.size:
+    if window is not None and p.size:
+        sizes, limit = window
         low, high = float(p.min()), float(p.max())
         q = min(max(0.5, low), high)  # no p in [low, high] has a larger p(1 - p)
         h = _TAIL / 3 + math.sqrt(_TAIL**2 / 9 + 2 * _TAIL * n * q * (1 - q))

@@ -591,9 +591,9 @@ class TestOneKernelPerGame:
     def test_payoffs_and_welfare_build_no_evaluator(self, monkeypatch, policy):
         builds = []
 
-        def counted(coeffs):
+        def counted(coeffs, windowed=False):
             builds.append(np.shape(coeffs))
-            return _bernstein(coeffs)
+            return _bernstein(coeffs, windowed)
 
         for module in ("dispersal.game", "dispersal.ess"):
             monkeypatch.setattr(f"{module}._bernstein", counted)
@@ -657,14 +657,31 @@ def kernel_cases(draw):
     return policy.weights(players), rng.permutation(ps)
 
 
+@pytest.fixture
+def exp_widths(monkeypatch):
+    """The length of the last axis of every ``np.exp`` the kernel takes: the rows it sums."""
+    widths = []
+
+    class CountedExp:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            widths.append(np.shape(x)[-1])
+            return np.exp(x)
+
+    monkeypatch.setattr("dispersal.game.np", CountedExp())
+    return widths
+
+
 class TestWindowedKernel:
-    """From degree 64 on, the kernel sums one window of its rows; it must agree with
-    the sum over every row, and below degree 64 be that sum bit for bit."""
+    """From degree 73 on, the kernel sums one window of its rows; it must agree with
+    the sum over every row, and below degree 73 be that sum bit for bit."""
 
     @settings(max_examples=300)
     @given(case=kernel_cases())
     def test_window_matches_the_full_row(self, case):
-        # Observed over these 300 examples, 174 of them at n >= 64: at most 2.4 ulps of the term bound.
+        # Observed over these 300 examples, 169 of them at n >= 73: at most 2.2 ulps of the term bound.
         weights, ps = case
         coeffs, n = kernel_coefficients(weights), weights.size - 1
         got = GameInstance(TWO_SITES, weights.size, CongestionPolicy.from_table(weights)).kernel(ps)
@@ -674,24 +691,27 @@ class TestWindowedKernel:
         else:
             assert np.all(np.abs(got - want) <= (n + 2) * 2.0**-53 * bound)
 
-    def test_window_is_taken_on_a_narrow_spread_only(self, monkeypatch):
-        widths = []
-
-        class CountedExp:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def exp(self, x):
-                widths.append(np.shape(x)[-1])
-                return np.exp(x)
-
-        monkeypatch.setattr("dispersal.game.np", CountedExp())
+    def test_window_is_taken_on_a_narrow_spread_only(self, exp_widths):
         kernel = GameInstance(TWO_SITES, 2000, CongestionPolicy.sharing()).kernel
         narrow, wide = np.full(20, 1e-3), np.array([0.2, 0.7])
         kernel(narrow), kernel(wide), GameInstance(TWO_SITES, _WINDOW_FROM, SHARING).kernel(narrow)
         # About 2 + 37 + sqrt(2 T n p) rows around np = 2. The window of the spread-out p, about
-        # rows 145 to 1654, keeps more than half the row, and at degree 63 none is taken: both sum every row.
-        assert widths[0] < 100 and widths[1:] == [2000, _WINDOW_FROM]
+        # rows 145 to 1654, keeps more than half the row, and at degree 72 none is taken: both sum every row.
+        assert exp_widths[0] < 100 and exp_widths[1:] == [2000, _WINDOW_FROM]
+
+    def test_window_starts_at_the_degree_where_it_can_keep_half_a_row(self, exp_widths):
+        # At p = 0 the window is rows 0 to 2T/3 = 36.97, 37 of them: half of degree 73's 74 rows, more than half of 72's 73.
+        at_zero = np.zeros(3)
+        for players in (_WINDOW_FROM, _WINDOW_FROM + 1):
+            GameInstance(TWO_SITES, players, SHARING).kernel(at_zero)
+        assert _WINDOW_FROM == 73 and exp_widths == [73, 37]
+
+    def test_evaluators_built_for_one_call_sum_the_full_row(self, exp_widths):
+        # The ESS walk builds its evaluators once per m, where |c| would cost more than a window saves.
+        coeffs, ps = kernel_coefficients(SHARING.weights(2000)), np.full(20, 1e-3)
+        got = _bernstein(coeffs)(ps)
+        assert exp_widths == [2000]
+        assert got.tobytes() == full_row_bernstein(coeffs, ps)[0].tobytes()
 
     def test_dropped_mass_above_the_check_falls_back_to_the_full_row(self):
         # At p = 0.5 no kept row (0, 1, n - 1, n) lies in the window, rows 313 to 685, whose sum
@@ -699,7 +719,7 @@ class TestWindowedKernel:
         players = 1000
         coeffs = kernel_coefficients(np.r_[1.0, np.zeros(players - 2), -0.5])
         ps = np.array([0.5, 0.5])
-        got = _bernstein(coeffs)(ps)
+        got = _bernstein(coeffs, windowed=True)(ps)
         assert got[0, 0] == pytest.approx(2.0 ** -(players - 1) * 0.5, rel=1e-12)
         assert got.tobytes() == full_row_bernstein(coeffs, ps)[0].tobytes()
 

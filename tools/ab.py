@@ -1,18 +1,17 @@
 """Paired A/B timing of two revisions of this repository on the perfbench workloads.
 
-    python3 tools/ab.py --base HEAD^ --head HEAD --out BENCH_28.json
-    python3 tools/ab.py --base HEAD --head HEAD --out aa.json       # A/A: the noise floor
+    python3 tools/ab.py --base HEAD^ --head HEAD --out BENCH_<n>.json
 
 Run it from the root of a git checkout; it needs Python >= 3.10, and numpy
-for the package it times. Each revision is exported with ``git archive``
+for the package it times. A run takes about half an hour on 2 vCPUs. Each revision is exported with ``git archive``
 into ``.bench_build/ab/<sha>/``, so the checkout itself is not touched and no
-worktree is registered. Then, per workload and seed:
+worktree is registered. Then, for every workload and both seeds:
 
 1. One long-lived worker process per side imports that tree's ``src/`` and
    ``perfbench/workloads.py``, with BLAS pinned to one thread as perfbench
    pins it. It makes the workload's inputs from the seed and runs
    ``WARMUP_PASSES`` whole passes over the workload's tasks.
-2. The coordinator asks the two workers for one whole pass each, ``--pairs``
+2. The coordinator asks the two workers for one whole pass each, ``PAIRS``
    times, and swaps which side goes first every pair, so that both sides
    meet the same state of the machine. Only one worker runs at a time.
 3. A pair's ratio is head / base of the two pass times. The file holds the
@@ -23,11 +22,11 @@ worktree is registered. Then, per workload and seed:
 
 The large-k workers also time single calls of a sharing game's
 ``GameInstance.kernel`` on Dirichlet p at each (M, k) of ``KERNEL_SHAPES``,
-in alternated pairs too. With ``--runs N`` whole ``perfbench/run.py`` processes
-of each tree alternate N times per workload and seed, for the metrics that
-only a process shows (``setup_s``, ``cli_*``, ``peak_rss_mb``). With ``--aa``
-every in-process comparison is repeated with head on both sides, under
-``aa_in_process``: the spread that no change of code explains.
+in alternated pairs too. Every in-process comparison is repeated with head
+on both sides, under ``aa_in_process``: the spread that no change of code
+explains. Last, ``RUNS`` whole ``perfbench/run.py --seconds 3`` processes of
+each tree alternate per workload and seed, for the metrics that only a
+process shows (``setup_s``, ``cli_*``, ``peak_rss_mb``).
 
 A worker's pass stops the run if a task raises or fails a check in either
 tree, since the timings would then compare different work.
@@ -57,6 +56,9 @@ WORKLOADS = ("pool-small", "large-k", "analysis")
 SEEDS = (20260808, 20261017)
 KERNEL_SHAPES = ((20, 1000), (20, 2000), (200, 200), (2000, 50))
 KERNEL_CALLS = 200
+PAIRS = 31  # in-process pairs; the sign-test interval at 95 % then drops the 9 lowest and highest ratios
+RUNS = 10  # whole-process pairs
+RUN_SECONDS = 3.0
 WARMUP_PASSES = 2
 CONFIDENCE = 0.95
 RUN_METRICS = ("setup_s", "wall_s", "ok_per_s", "ok_ratio", "peak_rss_mb", "cli_p50_ms", "cli_tail_ms")
@@ -210,7 +212,7 @@ def summarize(pairs: list[dict]) -> dict:
     }
 
 
-def in_process(trees: dict, workload: str, seed: int, args: argparse.Namespace) -> dict:
+def in_process(trees: dict, workload: str, seed: int) -> dict:
     sides = {}
     try:
         for side, tree in trees.items():
@@ -219,7 +221,7 @@ def in_process(trees: dict, workload: str, seed: int, args: argparse.Namespace) 
                 raise RuntimeError(f"{side} failed a warm-up task: {sides[side].ready['failed']}")
         if sides["base"].ready["tasks"] != sides["head"].ready["tasks"]:
             raise RuntimeError(f"{workload}: the two trees make different task lists")
-        passes = alternate(sides, args.pairs, {"cmd": "pass"}, lambda reply: reply["times"])
+        passes = alternate(sides, PAIRS, {"cmd": "pass"}, lambda reply: reply["times"])
         result = {"pairs": [{"first": p["first"], "base": math.fsum(p["base"]), "head": math.fsum(p["head"])} for p in passes]}
         result.update(summarize(result["pairs"]))
         task_medians = {side: [statistics.median(t) for t in zip(*(p[side] for p in passes))] for side in ("base", "head")}
@@ -231,7 +233,7 @@ def in_process(trees: dict, workload: str, seed: int, args: argparse.Namespace) 
         if workload == "large-k":
             result["kernel_calls"] = {}
             for shape in KERNEL_SHAPES:
-                calls = alternate(sides, args.pairs, {"cmd": "kernel", "shape": shape}, lambda r: r["median_ms"])
+                calls = alternate(sides, PAIRS, {"cmd": "kernel", "shape": shape}, lambda r: r["median_ms"])
                 result["kernel_calls"][f"M{shape[0]}-k{shape[1]}"] = {"median_ms_pairs": calls, **summarize(calls)}
         result["numpy"] = sides["head"].ready["numpy"]
         return result
@@ -243,10 +245,10 @@ def in_process(trees: dict, workload: str, seed: int, args: argparse.Namespace) 
 class Run:
     """Stands in for a worker: each request runs one whole perfbench process of the tree."""
 
-    def __init__(self, tree: Path, workload: str, seed: int, seconds: float):
+    def __init__(self, tree: Path, workload: str, seed: int):
         self.tree = tree
         self.cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                    "--seconds", repr(seconds), "--trace", "0"]
+                    "--seconds", repr(RUN_SECONDS), "--trace", "0"]
 
     def ask(self) -> dict:
         proc = subprocess.run(self.cmd, cwd=self.tree, capture_output=True, text=True, check=True)
@@ -255,10 +257,10 @@ class Run:
         return {"failed": failed, "metrics": {name: result["metrics"][name]["value"] for name in RUN_METRICS}}
 
 
-def processes(trees: dict, workload: str, seed: int, args: argparse.Namespace) -> dict:
-    """``args.runs`` alternated pairs of whole perfbench runs, one per tree."""
-    sides = {side: Run(tree, workload, seed, args.seconds) for side, tree in trees.items()}
-    runs = alternate(sides, args.runs, {}, lambda reply: reply["metrics"])
+def processes(trees: dict, workload: str, seed: int) -> dict:
+    """``RUNS`` alternated pairs of whole perfbench runs, one per tree."""
+    sides = {side: Run(tree, workload, seed) for side, tree in trees.items()}
+    runs = alternate(sides, RUNS, {}, lambda reply: reply["metrics"])
     summary = {}
     for name in RUN_METRICS:
         pairs = [{"base": r["base"][name], "head": r["head"][name]} for r in runs]
@@ -270,21 +272,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD^", help="revision timed as the base (default HEAD^)")
     parser.add_argument("--head", default="HEAD", help="revision timed against it (default HEAD)")
-    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seed", nargs="+", type=int, default=list(SEEDS))
-    parser.add_argument("--pairs", type=int, default=21)
-    parser.add_argument("--aa", action="store_true", help="also time head against itself: the noise floor")
-    parser.add_argument("--runs", type=int, default=0, help="alternated whole perfbench runs per workload and seed")
-    parser.add_argument("--seconds", type=float, default=3.0, help="--seconds of each perfbench run")
     parser.add_argument("--out", type=Path, help="write the JSON here (default: stdout)")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--tree", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        args.workload, args.seed = args.workload[0], args.seed[0]
-    elif args.pairs < 2 or args.runs == 1:
-        parser.error("--pairs, and --runs unless 0, must be at least 2")
-    return args
+    parser.add_argument("--workload", choices=WORKLOADS, help=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int, help=argparse.SUPPRESS)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -304,19 +297,20 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "blas_pin": BLAS_PIN,
         "confidence": CONFIDENCE,
+        "pairs": PAIRS,
+        "runs": RUNS,
         "in_process": {},
     }
-    for workload in args.workload:
-        for seed in args.seed:
+    both = {"base": trees["head"], "head": trees["head"]}
+    report["aa_in_process"], report["processes"] = {}, {}
+    for workload in WORKLOADS:
+        for seed in SEEDS:
             print(f"ab: {workload} {seed}", file=sys.stderr)
-            report["in_process"][f"{workload}/{seed}"] = in_process(trees, workload, seed, args)
-            if args.aa:
-                both = {"base": trees["head"], "head": trees["head"]}
-                report.setdefault("aa_in_process", {})[f"{workload}/{seed}"] = in_process(both, workload, seed, args)
-    if args.runs:
-        report["processes"] = {
-            f"{workload}/{seed}": processes(trees, workload, seed, args) for workload in args.workload for seed in args.seed
-        }
+            report["in_process"][f"{workload}/{seed}"] = in_process(trees, workload, seed)
+            report["aa_in_process"][f"{workload}/{seed}"] = in_process(both, workload, seed)
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            report["processes"][f"{workload}/{seed}"] = processes(trees, workload, seed)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
