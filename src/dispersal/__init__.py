@@ -30,13 +30,12 @@ from .solvers import (
     WelfareOptimum,
     coverage_optimum,
     solve_ifd,
-    symmetric_payoff,
     symmetric_price_of_anarchy,
     verify_ifd,
     welfare_optimum,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CongestionPolicy",
@@ -64,7 +63,6 @@ __all__ = [
     "simulate",
     "site_values",
     "solve_ifd",
-    "symmetric_payoff",
     "symmetric_price_of_anarchy",
     "verify_ifd",
     "welfare_optimum",

@@ -170,7 +170,7 @@ def cmd_spoa(args: argparse.Namespace) -> int:
 def cmd_ess_check(args: argparse.Namespace) -> int:
     _count(args.mutants, "--mutants", 1)
     _, instance = _load_instance(args.instance)
-    is_exclusive = instance.policy.is_exclusive_on(instance.players)
+    is_exclusive = not instance.weights[1:].any()
     if is_exclusive:
         candidate = coverage_optimum(instance.profile, instance.players).strategy
         candidate_kind = "coverage-optimum"

@@ -68,13 +68,13 @@ def ess_batch(instance: GameInstance, candidate: Strategy, mutants: list[Strateg
     """
     k, f, resident = instance.players, instance.profile.as_array(), _sized(candidate, instance.sites, "candidate")
     mutants = _entries(mutants, "mutants")
-    weights, verdicts, walking = instance.policy.weights(k), [None] * len(mutants), []
+    weights, verdicts, walking = instance.weights, [None] * len(mutants), []
     for i, mutant in enumerate(mutants):
         difference = resident - _sized(mutant, instance.sites, "mutant")
         if np.abs(difference).max() > MIN_MUTANT_DISTANCE:
             walking.append((i, difference, []))
-    own, bounds, slope = f * instance.kernel(resident).T  # m = 0: the candidate's own field, for every mutant
-    drift = STRATEGY_ERROR * float(np.max(np.abs(slope)))
+    columns = instance.kernel(resident).T  # m = 0: the candidate's own field, for every mutant
+    (own, bounds), drift = f * columns[:2], float(np.max(STRATEGY_ERROR * f * np.abs(columns[2])))  # as in verify_ifd
     values, bands = np.broadcast_to(own, (len(walking), f.size)), [EQUALITY_TOL * float(np.max(bounds)) + drift] * len(walking)
     for m in range(k):
         if not walking:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -126,7 +125,7 @@ class ValueProfile:
     """
 
     values: tuple[float, ...]
-    input_order: tuple[int, ...] = field(default=(), compare=False)
+    input_order: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = _numbers(self.values, "values")
@@ -186,33 +185,15 @@ class CongestionPolicy:
     def from_table(cls, entries) -> "CongestionPolicy":
         return cls("table", tuple(entries))
 
-    def _weights(self, low: int, high: int) -> np.ndarray:
-        """C(l) for l = low..high, 1 <= low <= high; the one rule behind every weight.
-
-        A table is sliced, so ``at`` costs O(1) and ``weights(k)`` converts k entries.
-        """
+    def weights(self, players: int) -> np.ndarray:
+        """Array of C(1..players); the one rule behind every weight."""
+        _count(players, "players", 1)
         if self.kind == "table":
             assert self.table is not None
-            _check(high <= len(self.table), f"policy.table: needs at least {high} entries, got {len(self.table)}")
-            return np.array(self.table[low - 1 : high])
-        occupancies = np.arange(low, high + 1)
+            _check(players <= len(self.table), f"policy.table: needs at least {players} entries, got {len(self.table)}")
+            return np.array(self.table[:players])
+        occupancies = np.arange(1, players + 1)
         return (occupancies == 1).astype(float) if self.kind == "exclusive" else 1.0 / occupancies
-
-    def _marginal(self, players: int) -> np.ndarray:
-        """C~(l) = l C(l) - (l-1) C(l-1) for l = 1..players, the weights whose R is d/dp [p R(p)]."""
-        if self.kind == "sharing":  # exactly the exclusive weights; l * (1/l) rounds below 1 at some l (49)
-            return CongestionPolicy.exclusive()._weights(1, players)
-        return np.diff(np.arange(players + 1) * np.r_[0.0, self._weights(1, players)])
-
-    def at(self, occupancy: int) -> float:
-        """Weight C(l) for a site occupied by ``occupancy`` players."""
-        _count(occupancy, "occupancy", 1)
-        return float(self._weights(occupancy, occupancy)[0])
-
-    def weights(self, players: int) -> np.ndarray:
-        """Array of C(1..players)."""
-        _count(players, "players", 1)
-        return self._weights(1, players)
 
     def is_exclusive_on(self, players: int) -> bool:
         """True when the weights over occupancies 1..players match the exclusive rule."""
@@ -276,12 +257,11 @@ class GameInstance:
         _count(self.players, "players", 2, MAX_PLAYERS)
         if not isinstance(self.policy, CongestionPolicy):
             raise ValidationError(f"policy: must be a CongestionPolicy, got {type(self.policy).__name__}")
-        self.policy.at(self.players)  # a table must reach C(players)
+        weights = self.weights  # a table must reach C(players)
         if self.policy.kind != "table":  # the other kinds keep |C| and its steps within 1
             return
         # Payoffs reach f(1) |C(players)|, and the kernel's R' coefficients (players - 1) times C's largest step.
-        table = self.policy.table[: self.players]
-        floor, drop = table[-1], max(map(operator.sub, table, table[1:]))
+        floor, drop = float(weights[-1]), float(-np.diff(weights).min())
         if not self.profile.values[0] * -floor <= sys.float_info.max:  # messages are formatted only on failure
             top = self.profile.values[0]
             raise ValidationError(f"policy.table: the largest value times C({self.players}), {top:g} * {floor:g}, overflows a float")
@@ -289,15 +269,26 @@ class GameInstance:
             k = self.players
             raise ValidationError(f"policy.table: (players - 1) times the largest step of C, {k - 1} * {drop:g}, overflows a float")
 
+    def __setstate__(self, state: dict) -> None:
+        state["weights"].flags.writeable = False  # an unpickled array is writeable
+        self.__dict__.update(state)
+
     @property
     def sites(self) -> int:
         return self.profile.size
 
     @cached_property
+    def weights(self) -> np.ndarray:
+        """C(1..players) from ``policy.weights``, built once per game and read-only; every layer reads this array."""
+        weights = self.policy.weights(self.players)
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
     def kernel(self):
         """R(p) = E[C(1 + B)], B ~ Bin(k-1, p), its term bound E|C|(1 + B) and R'(p) from one ``_bernstein`` call; R' is
         (k-1) diff(C) in the degree k-2 basis, raised to R's degree k-1 (Farouki & Rajan 1987)."""
-        weights, j = self.policy.weights(self.players), np.arange(self.players)
+        weights, j = self.weights, np.arange(self.players)
         steps = np.pad(np.diff(weights), 1)
         columns = weights, np.abs(weights), j * steps[:-1] + (self.players - 1 - j) * steps[1:]
         return _bernstein(np.column_stack(columns), windowed=True)
@@ -392,7 +383,7 @@ def expected_payoff_profile(instance: GameInstance, focal: Strategy, opponents) 
         f"opponents: expected {instance.players - 1} strategies, got {len(opponents)}",
     )
     pmfs = _collision_pmfs(np.array([_sized(opp, instance.sites, f"opponents[{j}]") for j, opp in enumerate(opponents)]))
-    payoffs = instance.profile.as_array() * (pmfs @ instance.policy.weights(instance.players))
+    payoffs = instance.profile.as_array() * (pmfs @ instance.weights)
     return float(probs @ payoffs)
 
 

@@ -140,7 +140,7 @@ def simulate(config: SimConfig) -> SimReport:
     coverage is the summed value of all distinct visited sites.
     """
     instance, rounds, m, k = config.instance, config.rounds, config.instance.sites, config.instance.players
-    f, weights = instance.profile.as_array(), instance.policy.weights(k)
+    f, weights = instance.profile.as_array(), instance.weights
     # Moments in units of 2^e, e the exponent of f(1) max|C| for the payoffs and of f(1), or -1022 if less, for the
     # coverage, which is at most M f(1); so no square overflows. Scaling by 2^e is exact in the normal range.
     units = np.r_[np.full(k, math.frexp(f[0] * max(1.0, -weights[-1]))[1]), max(math.frexp(f[0])[1], -1022)]

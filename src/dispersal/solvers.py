@@ -162,9 +162,10 @@ def verify_ifd(instance: GameInstance, strategy: Strategy) -> EquilibriumReport:
     term bound max_x f(x) E|C|(1 + B_x) (Higham 2002, ch. 4) plus ``STRATEGY_ERROR`` times
     max_x f(x) |R'(p(x))|, the first-order effect of that error in p.
     """
-    probs = _sized(strategy, instance.sites, "strategy")
-    values, bound, slope = instance.profile.as_array() * instance.kernel(probs).T
-    tolerance = IFD_RESIDUAL_TOL * float(np.max(bound)) + STRATEGY_ERROR * float(np.max(np.abs(slope)))
+    probs, f = _sized(strategy, instance.sites, "strategy"), instance.profile.as_array()
+    columns = instance.kernel(probs).T
+    values, bound = f * columns[:2]  # not f R': STRATEGY_ERROR goes into f first, as f(x) R'(p) can overflow
+    tolerance = IFD_RESIDUAL_TOL * float(np.max(bound)) + float(np.max(STRATEGY_ERROR * f * np.abs(columns[2])))
     supported = probs > SUPPORT_EPS
     n_support = int(np.count_nonzero(supported))
     support_is_prefix = bool(np.all(supported[:n_support]) and not np.any(supported[n_support:]))
@@ -207,10 +208,9 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     full collision at the first site pays at least a solo visit to the second:
     the point mass on the first site is finished at once, so tied top sites share it.
     """
-    profile, players, policy = instance.profile, instance.players, instance.policy
+    profile, players, weights, kernel = instance.profile, instance.players, instance.weights, instance.kernel
     top = profile.values[0]
     f = profile.as_array() / top
-    weights, kernel = policy.weights(players), instance.kernel
     floor_weight = float(weights[-1])
     if f.size == 1 or f[1] <= floor_weight:
         return verify_ifd(instance, _finish(f, np.eye(1, f.size)[0]))
@@ -292,11 +292,6 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     return replace(report, iterations=iterations, evaluations=evaluations)
 
 
-def symmetric_payoff(instance: GameInstance, strategy: Strategy) -> float:
-    """Expected individual payoff when all players use ``strategy``."""
-    return float(np.dot(_sized(strategy, instance.sites, "strategy"), site_values(instance, strategy)))
-
-
 def _allocate_units(gain: np.ndarray) -> np.ndarray:
     """Best split of n probability units across sites for a separable objective.
 
@@ -340,11 +335,13 @@ def welfare_optimum(instance: GameInstance) -> WelfareOptimum:
     DP finds the exact optimum on the simplex grid with step ``WELFARE_GRID_STEP``, then polishes it on halving
     local grids down to ``WELFARE_REFINE_STEP``, each site moving by up to ``WELFARE_REFINE_WINDOW`` steps.
     """
-    marginal = instance.policy._marginal(instance.players)
+    k = instance.players
+    # Under sharing C~ is exactly the exclusive rule, e_1, where l * (1/l) rounds below 1 at some l (49).
+    marginal = np.eye(1, k)[0] if instance.policy.kind == "sharing" else np.diff(np.arange(k + 1) * np.r_[0.0, instance.weights])
     if np.all(np.diff(marginal) <= 0.0):
         try:
             strategy = solve_ifd(replace(instance, policy=CongestionPolicy.from_table(marginal))).strategy
-            return WelfareOptimum(strategy, symmetric_payoff(instance, strategy))
+            return WelfareOptimum(strategy, float(strategy.as_array() @ site_values(instance, strategy)))
         except SolverError:  # a common value of C~ below the float range
             pass
     f, kernel = instance.profile.as_array()[:, None], instance.kernel
@@ -364,7 +361,7 @@ def welfare_optimum(instance: GameInstance) -> WelfareOptimum:
         probs = probs + step * moves[_allocate_units(gain[:, :width])]
         step /= 2
     strategy = Strategy.from_array(probs)
-    return WelfareOptimum(strategy, symmetric_payoff(instance, strategy))
+    return WelfareOptimum(strategy, float(strategy.as_array() @ site_values(instance, strategy)))
 
 
 def symmetric_price_of_anarchy(instance: GameInstance) -> float:

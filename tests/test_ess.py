@@ -300,6 +300,14 @@ class TestExclusiveOptimumIsStable:
 
 
 class TestEssBatch:
+    def test_a_steep_tables_band_stays_finite(self):
+        # f(1) R'(0.95) = 10 * -1.9e307 overflows a float, 1e-13 f(1) |R'| does not: the band stays finite,
+        # so the mutant loses at m = 0 by 4.1e307, where an infinite band tied it and walked on.
+        instance = GameInstance(ValueProfile((10.0, 5.0)), 3, CongestionPolicy.from_table((1.0, 1.0, -1e307)))
+        (verdict,) = ess_batch(instance, Strategy((0.95, 0.05)), [Strategy((0.5, 0.5))])
+        assert not verdict.passed
+        assert verdict.margins == pytest.approx((-4.055625e307,), rel=1e-12)
+
     @settings(max_examples=60)
     @given(
         sites=st.integers(1, 6),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -30,8 +31,9 @@ from dispersal import (
     invasion_sweep,
     mutant_generator,
     project_to_simplex,
+    simulate,
     site_values,
-    symmetric_payoff,
+    solve_ifd,
     verify_ifd,
     welfare_optimum,
 )
@@ -59,6 +61,11 @@ class TestValueProfile:
         assert profile.values == (1.0, 0.5, 0.5)
         assert profile.input_order == (1, 0, 2)
 
+    def test_input_order_is_not_an_argument(self):
+        # It is derived from the values; an argument for it would be ignored.
+        with pytest.raises(TypeError, match="input_order"):
+            ValueProfile((0.3, 1.0), input_order=(0, 1))
+
     @pytest.mark.parametrize("bad", [(), (0.0,), (-1.0, 2.0), (1.0, float("nan"))])
     def test_rejects_invalid_values(self, bad):
         with pytest.raises(ValidationError):
@@ -74,19 +81,13 @@ class TestValueProfile:
 
 class TestCongestionPolicy:
     def test_exclusive_weights(self):
-        policy = CongestionPolicy.exclusive()
-        assert policy.at(1) == 1.0
-        assert policy.at(2) == 0.0
-        assert policy.at(7) == 0.0
+        assert CongestionPolicy.exclusive().weights(7).tolist() == [1.0] + [0.0] * 6
 
     def test_sharing_weights(self):
-        policy = CongestionPolicy.sharing()
-        assert policy.at(1) == 1.0
-        assert policy.at(4) == 0.25
+        assert CongestionPolicy.sharing().weights(4).tolist() == [1.0, 0.5, 1 / 3, 0.25]
 
     def test_table_allows_negative_collision_weights(self):
-        policy = CongestionPolicy.from_table((1.0, -0.5))
-        assert policy.at(2) == -0.5
+        assert CongestionPolicy.from_table((1.0, -0.5)).weights(2).tolist() == [1.0, -0.5]
 
     def test_table_must_start_at_one(self):
         with pytest.raises(ValidationError):
@@ -109,15 +110,16 @@ class TestCongestionPolicy:
             weights = policy.weights(players)
             assert weights.dtype == np.float64
             assert weights.tobytes() == np.array(expected).tobytes()
-            assert [policy.at(l) for l in occupancies] == weights.tolist()
+            # Every prefix is the same rule: C(l) does not depend on how many occupancies are asked for.
+            assert [policy.weights(l)[-1] for l in occupancies] == weights.tolist()
             assert policy.is_exclusive_on(players) == (policy.kind == "exclusive" or players == 1)
+            if players >= 2:
+                assert GameInstance(TWO_SITES, players, policy).weights.tobytes() == weights.tobytes()
 
     def test_short_table_error_names_the_table(self):
         policy = CongestionPolicy.from_table((1.0, 0.5))
         with pytest.raises(ValidationError, match=r"^policy\.table: needs at least 3 entries, got 2$"):
             GameInstance(TWO_SITES, 3, policy)
-        with pytest.raises(ValidationError, match=r"^policy\.table: needs at least 3 entries, got 2$"):
-            policy.at(3)
         with pytest.raises(ValidationError, match=r"^policy\.table: needs at least 3 entries, got 2$"):
             policy.weights(3)
 
@@ -161,9 +163,7 @@ INTEGER_ARGUMENTS = [
     case("GameInstance_huge", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, 2, 2, 10**30),
     case("weights", "players", lambda v: SHARING.weights(v).tolist(), 2, [1.0, 0.5], 0),
     case("closed_forms", "players", lambda v: closed_forms(3, players=v), 3, closed_forms_direct(3, 1), 2),
-    case("sharing.at", "occupancy", lambda v: SHARING.at(v), 2, 0.5, 0),
-    case("table.at", "occupancy", lambda v: CongestionPolicy.from_table((1.0, 0.5)).at(v), 2, 0.5, 0),
-    case("exclusive.at", "occupancy", lambda v: CongestionPolicy.exclusive().at(v), 2, 0.0, 0),
+    case("exclusive.weights", "players", lambda v: CongestionPolicy.exclusive().weights(v).tolist(), 2, [1.0, 0.0], 0),
     case("table.weights", "players", lambda v: CongestionPolicy.from_table((1.0, 0.5)).weights(v).tolist(), 2,
          [1.0, 0.5], 0),
     case("is_exclusive_on", "players", lambda v: SHARING.is_exclusive_on(v), 2, False, 0),
@@ -211,7 +211,6 @@ def sized(label, name, call, valid, expected):
 # Against SHARED, EVEN's field pays (0.75, 0.375); FIRST resists EVEN from m = 1 on.
 STRATEGY_ARGUMENTS = [
     sized("site_values", "strategy", lambda s: site_values(SHARED, s).tolist(), EVEN, [0.75, 0.375]),
-    sized("symmetric_payoff", "strategy", lambda s: symmetric_payoff(SHARED, s), EVEN, 0.5625),
     sized("coverage", "strategy", lambda s: coverage(TWO_SITES, 2, s), EVEN, 1.125),
     sized("expected_payoff_profile", "focal", lambda s: expected_payoff_profile(SHARED, s, [EVEN]), EVEN, 0.5625),
     sized("expected_payoff_profile", "opponents[0]", lambda s: expected_payoff_profile(SHARED, EVEN, [s]), EVEN, 0.5625),
@@ -445,6 +444,16 @@ class TestGameInstance:
         assert instance.kernel(np.array([p]))[0] == pytest.approx(columns, rel=1e-15, abs=0.0)
 
 
+    def test_weights_are_read_only(self):
+        instance = GameInstance(TWO_SITES, 3, CongestionPolicy.sharing())
+        copy = pickle.loads(pickle.dumps(instance))
+        for game in (instance, copy):
+            with pytest.raises(ValueError, match="read-only"):
+                game.weights[0] = 2.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                game.weights = np.ones(3)
+            assert game.weights.tolist() == [1.0, 0.5, 1 / 3]
+
     def test_instance_pickles_after_its_kernel_is_cached(self):
         # Instances go to worker processes; the cached kernel must go with them.
         instance = GameInstance(ValueProfile((1.0, 0.5)), 3, CongestionPolicy.sharing())
@@ -468,7 +477,7 @@ class TestPayoffSingle:
         here, elsewhere = Strategy.point_mass(site, 2), Strategy.point_mass(3 - site, 2)
         opponents = [here] * (occupancy - 1) + [elsewhere] * (instance.players - occupancy)
         payoff = expected_payoff_profile(instance, here, opponents)
-        assert payoff == instance.profile.values[site - 1] * instance.policy.at(occupancy) == expected
+        assert payoff == instance.profile.values[site - 1] * instance.weights[occupancy - 1] == expected
 
 
 def opponent_count_pmf(opponent_probs):
@@ -582,6 +591,37 @@ KERNEL_POLICIES = [
 ]
 
 
+class TestOneWeightArrayPerGame:
+    """C(1..k) is built once per game, by ``CongestionPolicy.weights``, and every layer reads that array."""
+
+    def test_every_layer_reads_the_games_array(self, monkeypatch):
+        games, builds = [], []
+        build, check = CongestionPolicy.weights, GameInstance.__post_init__
+
+        def counted_build(policy, players):
+            builds.append(policy)
+            return build(policy, players)
+
+        def counted_game(game):
+            games.append(game.policy)
+            check(game)
+
+        monkeypatch.setattr(CongestionPolicy, "weights", counted_build)
+        monkeypatch.setattr(GameInstance, "__post_init__", counted_game)
+        instance = GameInstance(ValueProfile((1.0, 0.6, 0.3)), 4, CongestionPolicy.from_table(np.linspace(1.0, 0.0, 4)))
+        equilibrium = solve_ifd(instance).strategy
+        verify_ifd(instance, equilibrium)
+        # Mutants on the support tie at m = 0, so the walk reads the weights at m = 1.
+        verdicts = ess_batch(instance, equilibrium, mutant_generator(instance.profile, 4, 0, 6))
+        assert {verdict.witness_m for verdict in verdicts} == {0, 1}
+        simulate(SimConfig.symmetric(100, 0, instance, equilibrium))
+        expected_payoff_profile(instance, equilibrium, [equilibrium] * 3)
+        welfare_optimum(instance)
+        # The welfare call solves the game under the marginal policy C~, which builds its own array once.
+        assert len(games) == 2 and games[1].table != instance.policy.table
+        assert builds == games
+
+
 class TestOneKernelPerGame:
     """Every payoff on a symmetric field reads the game's cached kernel, so no
     R evaluator is built after it but the welfare optimum's game under the
@@ -603,7 +643,6 @@ class TestOneKernelPerGame:
         assert builds == [(4, 3)]  # the patch sees the kernel's own build
         resident, mutant = Strategy((0.5, 0.3, 0.2)), Strategy.point_mass(1, 3)
         site_values(instance, resident)
-        symmetric_payoff(instance, resident)
         invasion_sweep(instance, resident, mutant, [0.1, 0.5])
         welfare_optimum(instance)
         # Only the welfare call builds one, the kernel of the game under the
@@ -807,7 +846,7 @@ class TestExpectedPayoffProfile:
                 chance = math.prod(o.probs[x] for o, x in zip(opponents, picks))
                 for x in range(sites):
                     occupancy = 1 + picks.count(x)
-                    want += chance * focal.probs[x] * profile.values[x] * policy.at(occupancy)
+                    want += chance * focal.probs[x] * profile.values[x] * policy.weights(occupancy)[-1]
             got = expected_payoff_profile(instance, focal, opponents)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -844,28 +883,34 @@ PUBLIC_API = {
     "SimReport", "SolverError", "Strategy", "ValidationError", "ValueProfile", "WelfareOptimum",
     "closed_form_mutant_payoff", "closed_form_resident_payoff", "coverage", "coverage_optimum", "ess_batch",
     "ess_characterization", "expected_payoff_profile", "invasion_sweep", "mutant_generator", "project_to_simplex",
-    "simulate", "site_values", "solve_ifd", "symmetric_payoff", "symmetric_price_of_anarchy", "verify_ifd",
-    "welfare_optimum",
+    "simulate", "site_values", "solve_ifd", "symmetric_price_of_anarchy", "verify_ifd", "welfare_optimum",
 }
 # Each is another public quantity spelled out (see the README), or a test oracle in tests/oracles.py.
 REMOVED_IN_0_2_0 = [
     "site_value", "miss_weight", "payoff_single", "mixture_payoff", "CollisionDistribution",
     "collision_distribution", "coverage_grid_oracle", "empirical_site_values",
 ]
+# s . site_values(game, s), spelled out.
+REMOVED_IN_0_3_0 = ["symmetric_payoff"]
 
 
 class TestPublicApi:
     def test_one_name_per_quantity(self):
-        assert len(PUBLIC_API) == 29
+        assert len(PUBLIC_API) == 28
         assert set(dispersal.__all__) == PUBLIC_API
         assert len(dispersal.__all__) == len(PUBLIC_API)
         for name in PUBLIC_API:
             assert getattr(dispersal, name) is not None
-        assert dispersal.__version__ == "0.2.0"
+        assert dispersal.__version__ == "0.3.0"
 
-    @pytest.mark.parametrize("name", REMOVED_IN_0_2_0)
+    @pytest.mark.parametrize("name", REMOVED_IN_0_2_0 + REMOVED_IN_0_3_0)
     def test_removed_names_are_gone(self, name):
         with pytest.raises(ImportError):
             exec(f"from dispersal import {name}", {})
         for module in ("game", "ess", "solvers", "montecarlo"):
             assert not hasattr(getattr(dispersal, module), name)
+
+    @pytest.mark.parametrize("name", ["at", "_weights", "_marginal"])
+    def test_policy_has_one_weight_rule(self, name):
+        # C(l) is policy.weights(l)[-1], or game.weights[l - 1]; C~ is derived in welfare_optimum.
+        assert not hasattr(CongestionPolicy, name)

@@ -18,8 +18,8 @@ from dispersal import (
     ValueProfile,
     coverage,
     coverage_optimum,
+    site_values,
     solve_ifd,
-    symmetric_payoff,
     symmetric_price_of_anarchy,
     verify_ifd,
     welfare_optimum,
@@ -35,6 +35,11 @@ TWO_SITES = ValueProfile((1.0, 0.5))
 def congestion_kernel(policy, players):
     """R(p) = E[C(1 + Bin(players - 1, p))], built as the solvers build it."""
     return _bernstein(policy.weights(players))
+
+
+def field_payoff(instance, strategy):
+    """Expected individual payoff when all players use ``strategy``."""
+    return float(strategy.as_array() @ site_values(instance, strategy))
 
 
 def exclusive(profile, players=2):
@@ -147,6 +152,15 @@ class TestVerifyIfd:
         assert report.tolerance == solvers.IFD_RESIDUAL_TOL * np.max(bound) + 1e-13 * np.max(np.abs(slope))
         expected = solvers.IFD_RESIDUAL_TOL * (0.5 - floor) + 2e-13 * (1.0 - floor)
         assert report.tolerance == pytest.approx(expected, rel=1e-12)
+
+    def test_a_steep_tables_band_stays_finite(self):
+        # f(1) R'(0.95) = 10 * -1.9e307 overflows a float, 1e-13 f(1) |R'| does not. The tolerance is then
+        # 1e-8 f(1) E|C|(1 + B) + 1.9e295 = 9.0e299, which the 9.0e307 residual fails; an infinite one passed it.
+        instance = GameInstance(ValueProfile((10.0, 5.0)), 3, CongestionPolicy.from_table((1.0, 1.0, -1e307)))
+        report = verify_ifd(instance, Strategy((0.95, 0.05)))
+        assert report.tolerance == pytest.approx(9.02519e299, rel=1e-12)
+        assert report.residual == pytest.approx(9.0125e307, rel=1e-12)
+        assert not report.passed
 
     @pytest.mark.parametrize("move", [None, 0.01])
     def test_many_players_reject_what_the_common_value_cannot_tell_apart(self, move):
@@ -556,7 +570,7 @@ def nested_bisection_ifd(instance):
     """
     f = instance.profile.as_array() / instance.profile.values[0]
     response = congestion_kernel(instance.policy, instance.players)
-    floor_weight = instance.policy.at(instance.players)
+    floor_weight = instance.weights[-1]
 
     def site_probs(target, low, high):
         probs = (f * floor_weight >= target).astype(float)
@@ -703,7 +717,11 @@ class TestScaleInvariance:
 
 def marginal_instance(instance):
     """The game under C~(l) = l C(l) - (l-1) C(l-1), or None where C~ increases somewhere."""
-    marginal = instance.policy._marginal(instance.players)
+    players = instance.players
+    if instance.policy.kind == "sharing":  # C~ is exactly exclusive; l * (1/l) rounds below 1 at some l
+        marginal = CongestionPolicy.exclusive().weights(players)
+    else:
+        marginal = np.diff(np.arange(players + 1) * np.r_[0.0, instance.policy.weights(players)])
     if np.any(np.diff(marginal) > 0.0):
         return None
     return GameInstance(instance.profile, instance.players, CongestionPolicy.from_table(marginal))
@@ -754,14 +772,14 @@ class TestWelfareOptimum:
         result = welfare_optimum(instance)
         ts = np.linspace(0.0, 1.0, 20001)
         best = max(
-            symmetric_payoff(instance, Strategy((t, 1.0 - t))) for t in ts
+            field_payoff(instance, Strategy((t, 1.0 - t))) for t in ts
         )
         assert result.payoff >= best - 1e-9
 
     def test_five_sites_beat_uniform(self):
         instance = GameInstance(log_uniform_profile(np.random.default_rng(8), 5), 3, CongestionPolicy.sharing())
         result = welfare_optimum(instance)
-        assert result.payoff >= symmetric_payoff(instance, Strategy.uniform(5)) - 1e-12
+        assert result.payoff >= field_payoff(instance, Strategy.uniform(5)) - 1e-12
 
     def test_deterministic_across_calls(self):
         instance = GameInstance(log_uniform_profile(np.random.default_rng(8), 5), 3, CongestionPolicy.sharing())
@@ -856,7 +874,7 @@ class TestWelfareOptimum:
         result = welfare_optimum(instance)
         assert result.strategy == solve_ifd(marginal).strategy
         assert verify_ifd(marginal, result.strategy).passed
-        assert result.payoff == symmetric_payoff(instance, result.strategy)
+        assert result.payoff == field_payoff(instance, result.strategy)
 
     def test_grid_takes_over_below_the_float_range(self):
         # C~ of sharing is the exclusive policy, whose common value here is
