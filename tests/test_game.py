@@ -161,6 +161,10 @@ INTEGER_ARGUMENTS = [
     case("GameInstance_max", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, MAX_PLAYERS,
          MAX_PLAYERS, MAX_PLAYERS + 1),
     case("GameInstance_huge", "players", lambda v: GameInstance(TWO_SITES, v, SHARING).players, 2, 2, 10**30),
+    # A table too short for the count: the count's own check comes first and names it, not the table.
+    case("GameInstance_table", "players",
+         lambda v: GameInstance(TWO_SITES, v, CongestionPolicy.from_table((1.0, 0.5))).weights.tolist(), 2, [1.0, 0.5],
+         MAX_PLAYERS + 1),
     case("weights", "players", lambda v: SHARING.weights(v).tolist(), 2, [1.0, 0.5], 0),
     case("closed_forms", "players", lambda v: closed_forms(3, players=v), 3, closed_forms_direct(3, 1), 2),
     case("exclusive.weights", "players", lambda v: CongestionPolicy.exclusive().weights(v).tolist(), 2, [1.0, 0.0], 0),
@@ -214,6 +218,9 @@ STRATEGY_ARGUMENTS = [
     sized("coverage", "strategy", lambda s: coverage(TWO_SITES, 2, s), EVEN, 1.125),
     sized("expected_payoff_profile", "focal", lambda s: expected_payoff_profile(SHARED, s, [EVEN]), EVEN, 0.5625),
     sized("expected_payoff_profile", "opponents[0]", lambda s: expected_payoff_profile(SHARED, EVEN, [s]), EVEN, 0.5625),
+    # The error names the opponent at fault, not the first one.
+    sized("expected_payoff_profile", "opponents[1]",
+          lambda s: expected_payoff_profile(GameInstance(TWO_SITES, 3, SHARING), EVEN, [EVEN, s]), EVEN, 0.4375),
     sized("verify_ifd", "strategy", lambda s: verify_ifd(SHARED, s).site_values, EVEN, (0.75, 0.375)),
     sized("invasion_sweep", "resident", lambda s: invasion_sweep(SHARED, s, EVEN, [0.5])[0], EVEN, (0.5, 0.5625, 0.5625)),
     sized("invasion_sweep", "mutant", lambda s: invasion_sweep(SHARED, EVEN, s, [0.5])[0], EVEN, (0.5, 0.5625, 0.5625)),
