@@ -79,7 +79,9 @@ class EquilibriumReport:
     whose value ties the common value within tolerance, where the strict
     outside-support inequality degenerates. Values, ``residual`` and
     ``tolerance`` are in the units of the site values. Equality ignores
-    ``iterations`` and ``evaluations``, a solve's outer and Newton steps.
+    ``iterations``, ``evaluations`` and ``bracket``: a solve's outer and
+    Newton steps and its final bracket on the common value, in value units,
+    which ``verify_ifd`` alone leaves at None.
     """
 
     strategy: Strategy
@@ -92,6 +94,7 @@ class EquilibriumReport:
     support_is_prefix: bool
     iterations: int = field(default=0, compare=False)
     evaluations: int = field(default=0, compare=False)
+    bracket: tuple[float, float] | None = field(default=None, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -192,17 +195,21 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     The outer loop seeks the common site value nu in [C(players), 1], on the
     values over value(1) so that no result depends on their unit, at which the
     site probabilities sum to one; the inner loop solves each site's probability
-    from a tangent prediction, between those found at the two ends of the outer
-    bracket, with R and R' from one ``instance.kernel`` call. A Newton step that
-    would leave its bracket is replaced by a bisection step. The loop starts
-    from the Pareto shape fitted to R(p) ~ (1 - p)^d, d = -R'(0), which is exact
-    under the exclusive policy, or, if d <= 0 or that start is not a normal
-    float inside the bracket, from its midpoint. If the bracket runs out before
-    the sum is one, the strategies at its two ends (the low end evaluated first
-    if no step did) are mixed to sum to one, or, below the normal float range, a
-    ``SolverError`` is raised. The strategy, finished as ``coverage_optimum``'s
-    is, is re-checked by ``verify_ifd`` and must come back within its tolerance,
-    or a ``SolverError`` with diagnostics is raised.
+    from a tangent prediction, inside the bounds that the evaluations at the two
+    ends of the outer bracket proved, with R and R' from one ``instance.kernel``
+    call, and stops at a step of 0.01 times the last squared sum error, at most
+    1e-4 and at least ``INNER_P_TOL``; a loose solve whose side of the root
+    neither its bounds nor M such steps decide is solved on to ``INNER_P_TOL``.
+    A Newton step that would leave its bracket is replaced by a bisection step.
+    The loop starts from the Pareto shape fitted to R(p) ~ (1 - p)^d, exact under
+    the exclusive policy, with d = -R'(0) refitted so that it meets R at 1 / (its
+    support) where k > 2, or, if d <= 0 or that start is not a normal float
+    inside the bracket, from its midpoint. It ends on a sum within ``SUM_TOL``
+    of one at ``INNER_P_TOL``; if the bracket runs out first, the strategies at
+    its two ends, solved to ``INNER_P_TOL``, are mixed to sum to one, or, below
+    the normal float range, a ``SolverError`` is raised. The strategy, finished
+    as ``coverage_optimum``'s is, is re-checked by ``verify_ifd`` and must come
+    back within its tolerance, or a ``SolverError`` with diagnostics is raised.
 
     When value(2) / value(1) <= C(players), as under any constant policy, a
     full collision at the first site pays at least a solo visit to the second:
@@ -215,17 +222,19 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
     if f.size == 1 or f[1] <= floor_weight:
         return verify_ifd(instance, _finish(f, np.eye(1, f.size)[0]))
 
-    def site_probs(target: float, guess: np.ndarray, low: np.ndarray, high: np.ndarray):
+    def site_probs(target: float, guess: np.ndarray, low: np.ndarray, high: np.ndarray, tol: float):
         # Site x gets the p in [low, high] with f(x) R(p) = target, clamped to
         # 0 where even a sure solo visit is worth at most target and to 1
         # where a sure full collision still beats it; rate is dp/dnu there.
+        # Steps stop at tol. The bounds on each exact p that the evaluations
+        # proved come back too, and whether the last step was within INNER_P_TOL.
         nonlocal evaluations
         probs, rate = (f * floor_weight >= target).astype(float), np.zeros(f.size)
         active = (f > target) & (f * floor_weight < target)
         fa, lo_p, hi_p = f[active], low[active], high[active]
         p, step = np.clip(guess[active], lo_p, hi_p), 1.0 if fa.size else 0.0
         gradient = np.full(fa.size, np.nan)
-        while not step <= INNER_P_TOL:  # a NaN guess makes a NaN step, not a stop
+        while not step <= tol:  # a NaN guess makes a NaN step, not a stop
             evaluations += 1
             value, _, gradient = fa * kernel(p).T
             excess = value - target
@@ -236,14 +245,18 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
             new = np.where(inside, newton, 0.5 * (lo_p + hi_p))
             step, p = float(np.max(np.abs(new - p))), new
         probs[active], rate[active] = p, 1.0 / gradient
-        return probs, rate
+        lower, upper = probs.copy(), probs.copy()
+        lower[active], upper[active] = lo_p, hi_p
+        return probs, rate, lower, upper, step <= INNER_P_TOL
 
     lo, hi, iterations, evaluations = floor_weight, 1.0, 0, 0
 
-    def progress() -> dict:  # how far the solve got, for the diagnostics of every SolverError below
-        return {"iterations": iterations, "evaluations": evaluations, "bracket": [float(lo * top), float(hi * top)]}
+    def progress() -> dict:  # how far the solve got, for its report and the diagnostics of every SolverError below
+        return {"iterations": iterations, "evaluations": evaluations, "bracket": (float(lo * top), float(hi * top))}
 
-    probs_lo, probs_hi = np.ones(f.size), np.zeros(f.size)
+    # Per end of the bracket: a strategy, whether it is solved to INNER_P_TOL, and the proven bounds on the exact one.
+    zeros, excess = np.zeros(f.size), 1.0  # an excess of 1 starts the inner tolerance at 1e-4
+    ends = [(zeros, False, zeros, np.ones(f.size)), (zeros, True, zeros, zeros)]  # C(k) is not evaluated; 1 clamps all to 0
     step = before = hi - lo
     # R' < 0 inside (0, 1) but can underflow to 0; the inf or NaN a Newton
     # step then makes fails its bracket test, which bisects instead.
@@ -251,19 +264,30 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
         # -R'(0) = (k-1)(C(1) - C(2)), so (1 - p)^d matches R at 0 in value and slope.
         d = (players - 1) * (1.0 - weights[1])
         guess, alpha = _pareto(f, 1.0 / d) if d > 0 else (None, 0.0)
+        bar = 1.0 / np.count_nonzero(guess) if d > 0 else 1.0
+        if bar < 1.0 and players > 2 and weights[1:].any():  # under the exclusive rule the start is already exact
+            # Refit d so that (1 - p)^d meets R at p = 1 / (the start's support), where the start plays.
+            at_bar, evaluations = kernel(np.array([bar]))[0, 0], evaluations + 1
+            if 0.0 < at_bar < 1.0:
+                d = np.log(at_bar) / np.log1p(-bar)
+                guess, alpha = _pareto(f, 1.0 / d)
         nu = alpha**d
         if not (lo < nu < hi and nu >= np.finfo(float).tiny):
-            nu, guess = 0.5 * (lo + hi), np.zeros(f.size)
+            nu, guess = 0.5 * (lo + hi), zeros
         while True:
-            probs, rate = site_probs(nu, guess, probs_hi, probs_lo)
-            iterations += 1
+            # Inexact Newton (Dembo, Eisenstat & Steihaug 1982): inner solves as tight as the last sum error needs.
+            tol = max(INNER_P_TOL, min(1e-4, 0.01 * excess**2))
+            probs, rate, lower, upper, exact = site_probs(nu, guess, ends[1][2], ends[0][3], tol)
             excess = probs.sum() - 1.0
-            if excess >= 0.0:
-                lo, probs_lo = nu, probs
-            else:
-                hi, probs_hi = nu, probs
+            # The side of the root that nu lies on must be proven by the bounds or clear of M steps of tol.
+            if not exact and lower.sum() < 1.0 <= upper.sum() and abs(excess) <= f.size * tol:
+                probs, rate, lower, upper, exact = site_probs(nu, probs, lower, upper, INNER_P_TOL)
+                excess = probs.sum() - 1.0
+            iterations += 1
+            lo, hi = (nu, hi) if excess >= 0.0 else (lo, nu)
+            ends[int(excess < 0.0)] = (probs, exact, lower, upper)
             middle = 0.5 * (lo + hi)
-            if abs(excess) <= SUM_TOL or not lo < middle < hi:
+            if abs(excess) <= SUM_TOL and exact or not lo < middle < hi:
                 break
             # A Newton step must also halve the step before last, so that it
             # cannot cycle between two points inside the bracket.
@@ -271,11 +295,12 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
             ok = lo < newton < hi and abs(newton - nu) < 0.5 * abs(before)
             before, step = step, (newton if ok else middle) - nu
             nu, guess = nu + step, probs + step * rate
-        if not abs(excess) <= SUM_TOL:
+        if not (abs(excess) <= SUM_TOL and exact):
             if abs(hi) < np.finfo(float).tiny:
                 raise SolverError("common value below the float range", value=hi * top, **progress())
-            if lo == floor_weight:  # not evaluated: its ones only bound the inner bracket
-                probs_lo, _ = site_probs(lo, probs_hi, probs_hi, probs_lo)
+            # An end not solved to INNER_P_TOL is solved so now, inside its bounds, which keep it on its side.
+            probs_lo, probs_hi = (probs if exact else site_probs(value, probs, lower, upper, INNER_P_TOL)[0]
+                                  for value, (probs, exact, lower, upper) in zip((lo, hi), ends))
             # The ends' strategies, mixed to sum to one, keep each site's value between its values at the ends.
             mix = (probs_lo.sum() - 1.0) / (probs_lo.sum() - probs_hi.sum())
             probs = probs_lo + mix * (probs_hi - probs_lo)
@@ -289,7 +314,7 @@ def solve_ifd(instance: GameInstance) -> EquilibriumReport:
             value=nu * top,
             **progress(),
         )
-    return replace(report, iterations=iterations, evaluations=evaluations)
+    return replace(report, **progress())
 
 
 def _allocate_units(gain: np.ndarray) -> np.ndarray:

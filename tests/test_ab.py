@@ -37,3 +37,19 @@ class TestSignInterval:
     def test_order_of_the_values_does_not_matter(self):
         values = [float(v) for v in range(31)]
         assert ab.sign_interval(values[::-1]) == ab.sign_interval(values)
+
+
+class TestSolverWork:
+    """The large-k workers' untimed pass keeps the counts of every ``solve_ifd`` report its tasks make."""
+
+    def test_keeps_each_solve_ifd_count_and_calls_through(self):
+        from dispersal import CongestionPolicy, GameInstance, ValueProfile, site_values, solve_ifd
+
+        game = GameInstance(ValueProfile((1.0, 0.6, 0.3)), 40, CongestionPolicy.sharing())
+        tracer = ab.SolverWork()
+        report = tracer.call("solvers.solve_ifd", solve_ifd, game)
+        values = tracer.call("game.site_values", site_values, game, report.strategy, counts={"terms": 120})
+        tracer.record_max("solvers.max_rel_residual", 0.0)
+        assert tracer.counts == [{"iterations": report.iterations, "evaluations": report.evaluations}]
+        assert report.evaluations >= report.iterations >= 1
+        assert values == pytest.approx(site_values(game, report.strategy), rel=0.0, abs=0.0)

@@ -263,7 +263,9 @@ class TestSolveIfd:
 
     def test_kernel_evaluations_per_solve(self, evaluations):
         # Each Newton step takes R and R' from one Bernstein evaluation. From
-        # the Pareto start, a median of 10 here (an exclusive solve takes 1);
+        # the refitted Pareto start, with inner solves only as tight as the
+        # sum error needs, a median of 9 here (an exclusive solve takes 1);
+        # with every inner solve to 1e-12 and the start fitted to R'(0), 11;
         # from the bracket midpoint it was 21.5, and the nested bisection
         # took about 830.
         rng = np.random.default_rng(57)
@@ -275,7 +277,7 @@ class TestSolveIfd:
             evaluations[0] = 0
             solve_ifd(GameInstance(log_uniform_profile(rng, sites), players, policies[i % 3]))
             per_solve.append(evaluations[0])
-        assert np.median(per_solve) <= 12
+        assert np.median(per_solve) <= 9
 
     @pytest.mark.parametrize(
         "values, players, policy",
@@ -293,8 +295,28 @@ class TestSolveIfd:
         assert report.evaluations + 1 == evaluations[0] and report.evaluations >= report.iterations >= 1
         # The counts are not part of the report's value, and a check alone does no solve.
         checked = verify_ifd(instance, report.strategy)
-        assert (checked.iterations, checked.evaluations) == (0, 0)
+        assert (checked.iterations, checked.evaluations, checked.bracket) == (0, 0, None)
         assert checked == report
+
+    @pytest.mark.parametrize(
+        "values, players, policy, spent",
+        [
+            ((4.0, 3.2, 1.2), 5, CongestionPolicy.exclusive(), False),
+            ((4.0, 3.2, 1.2), 5, CongestionPolicy.sharing(), False),
+            ((4.0, 3.6, 2.0, 0.8), 4, CongestionPolicy.from_table((1.0, 0.6, 0.5, -0.2)), False),
+            ((4.0, 0.4), 8, CongestionPolicy.from_table((1.0,) * 7 + (0.0,)), True),
+        ],
+    )
+    def test_report_carries_its_final_bracket(self, values, players, policy, spent):
+        # The bracket on the common value is in value units, f(1) = 4 here, and
+        # holds the common value of the strategy it returns. A solve that ends
+        # on the sum test may have moved only one end; one that ends on a spent
+        # bracket leaves no float between the ends over f(1).
+        report = solve_ifd(GameInstance(ValueProfile(values), players, policy))
+        low, high = report.bracket
+        assert isinstance(low, float) and isinstance(high, float)
+        assert low - report.tolerance <= report.common_value <= high + report.tolerance
+        assert low < high and (np.nextafter(low / 4.0, 2.0) == high / 4.0) == spent
 
     def test_residuals_stay_within_solver_tolerance(self):
         rng = np.random.default_rng(55)
@@ -560,6 +582,61 @@ class TestPayoffScale:
         except SolverError as error:
             assert str(error) == "common value below the float range"
 
+
+
+class TestEvaluationBudget:
+    """Kernel evaluations per solve: inner solves only as tight as the outer sum error needs, from a start fitted to
+    R at one point, take no more than each Newton step solved to 1e-12 from the start fitted to R'(0) took."""
+
+    @pytest.mark.parametrize(
+        "values, players, policy, before",
+        [
+            ((1.0, 0.9), 1000, linear_table(1000, 0.01, 900), 672),  # R' underflows at a flat site: bisection
+            ((1.0, 0.5), 1000, linear_table(1000, 0.01, 800), 749),
+            ((1.0, 1.0, 1.0, 0.1, 0.1), 1000, linear_table(1000, 1.0, 348), 792),
+            ((1.0, 0.5), 1023, CongestionPolicy.exclusive(), 5122),  # a subnormal start: about k halvings
+            ((1.0, 0.5), 1039, CongestionPolicy.exclusive(), 5310),
+            ((1.0, 0.5), 1030, CongestionPolicy.sharing(), 74),  # a start far from R at large k
+            ((1.0, 0.5), 5000, CongestionPolicy.sharing(), 94),
+            ((1.0, 0.5), 100_000, CongestionPolicy.sharing(), 119),
+        ],
+    )
+    def test_slow_solves_take_no_more_evaluations(self, values, players, policy, before):
+        report = solve_ifd(GameInstance(ValueProfile(values), players, policy))
+        assert report.evaluations <= before
+        assert report.passed and report.residual <= 1e-12 * values[0]
+
+    # Per shape and policy of the test below: the support size and the probabilities at its first, middle and
+    # last site that each step solved to 1e-12 gave, from the start fitted to R'(0), in 339 evaluations.
+    LARGE_K = {
+        ((200, 50), "sharing"): (52, 0.03448759440877198, 0.01958709614774013, 0.0005354651428425783),
+        ((200, 50), "table"): (21, 0.10648629480982547, 0.05314420530135238, 0.00105877205194931),
+        ((2000, 50), "sharing"): (171, 0.011566729257937634, 0.005799478901246949, 1.561746196192425e-05),
+        ((2000, 50), "table"): (69, 0.033120159522428215, 0.01437094577129813, 0.0003302463417481891),
+        ((200, 200), "sharing"): (99, 0.02089676466022444, 0.010013540054411135, 6.349979967163782e-05),
+        ((200, 200), "table"): (24, 0.1076872392914707, 0.031057063585910562, 0.00017767820819920241),
+        ((20, 1000), "sharing"): (20, 0.1481486116868515, 0.023701806876394272, 0.00848135355704469),
+        ((20, 1000), "table"): (6, 0.29173863233042335, 0.12178716988425305, 0.07293708486964423),
+        ((20, 2000), "sharing"): (20, 0.10843974100370042, 0.04153183059770961, 0.006132172829638636),
+        ((20, 2000), "table"): (7, 0.2284851583630454, 0.14763242238612004, 0.00010602071986221958),
+    }
+
+    def test_large_k_solves_fit_the_budget(self):
+        # The large-k benchmark's five (M, k) shapes under sharing and a table
+        # spread over [-0.5, 0.9], as perfbench's spread_table draws it.
+        rng = np.random.default_rng(31)
+        total = 0
+        for sites, players in ((200, 50), (2000, 50), (200, 200), (20, 1000), (20, 2000)):
+            profile = log_uniform_profile(rng, sites)
+            tail = np.sort(rng.uniform(-0.5, 0.9, players - 1))[::-1]
+            for policy in (CongestionPolicy.sharing(), CongestionPolicy.from_table([1.0, *tail])):
+                report = solve_ifd(GameInstance(profile, players, policy))
+                total += report.evaluations
+                support, *pinned = self.LARGE_K[(sites, players), policy.kind]
+                probs = report.strategy.probs
+                assert report.support_size == support
+                assert [probs[0], probs[support // 2], probs[support - 1]] == pytest.approx(pinned, rel=0.0, abs=1e-12)
+        assert total <= 150
 
 def nested_bisection_ifd(instance):
     """The nested bisection ``solve_ifd`` used before its Newton steps, as a reference.

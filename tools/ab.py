@@ -22,7 +22,9 @@ worktree is registered. Then, for every workload and both seeds:
 
 The large-k workers also time single calls of a sharing game's
 ``GameInstance.kernel`` on Dirichlet p at each (M, k) of ``KERNEL_SHAPES``,
-in alternated pairs too. Every in-process comparison is repeated with head
+in alternated pairs too, and record under ``solver_work`` the ``iterations``
+and ``evaluations`` of each task's ``solve_ifd`` report, per side, from one
+untimed pass: the work behind the time. Every in-process comparison is repeated with head
 on both sides, under ``aa_in_process``: the spread that no change of code
 explains. Last, ``RUNS`` whole ``perfbench/run.py --seconds 3`` processes of
 each tree alternate per workload and seed, for the metrics that only a
@@ -92,6 +94,22 @@ def sign_interval(values: list[float]) -> dict:
     return {"median": statistics.median(ordered), "interval": interval, "coverage": 1 - 2 * below if k else None}
 
 
+class SolverWork:
+    """Stands in for perfbench's tracer in an untimed pass: calls through and keeps the counts of each ``solve_ifd`` report."""
+
+    def __init__(self):
+        self.counts = []
+
+    def call(self, name, fn, *args, counts=None, memory=False, **kwargs):
+        result = fn(*args, **kwargs)
+        if name == "solvers.solve_ifd":
+            self.counts.append({"iterations": result.iterations, "evaluations": result.evaluations})
+        return result
+
+    def record_max(self, name, value) -> None:
+        pass
+
+
 # --- worker: one tree, one workload and seed ------------------------------
 
 
@@ -139,6 +157,15 @@ def worker(args: argparse.Namespace) -> int:
             times.append(time.perf_counter() - start)
         return {"median_ms": statistics.median(times) * 1e3}
 
+    def solver_work() -> dict:
+        work = {}
+        for task in workload.tasks:
+            tracer = SolverWork()
+            with contextlib.redirect_stdout(io.StringIO()):
+                task.run(tracer)
+            work[task.label] = tracer.counts
+        return work
+
     try:
         workload = BUILDERS[args.workload](args.seed, workdir)
         warm = [one_pass() for _ in range(WARMUP_PASSES)]
@@ -150,6 +177,8 @@ def worker(args: argparse.Namespace) -> int:
                 reply = one_pass()
             elif request["cmd"] == "kernel":
                 reply = kernel_call(*request["shape"])
+            elif request["cmd"] == "work":
+                reply = solver_work()
             else:
                 break
             print(json.dumps(reply), flush=True)
@@ -235,6 +264,8 @@ def in_process(trees: dict, workload: str, seed: int) -> dict:
             for shape in KERNEL_SHAPES:
                 calls = alternate(sides, PAIRS, {"cmd": "kernel", "shape": shape}, lambda r: r["median_ms"])
                 result["kernel_calls"][f"M{shape[0]}-k{shape[1]}"] = {"median_ms_pairs": calls, **summarize(calls)}
+            work = {side: sides[side].ask(cmd="work") for side in ("base", "head")}
+            result["solver_work"] = {label: {side: work[side][label] for side in work} for label in sides["head"].ready["tasks"]}
         result["numpy"] = sides["head"].ready["numpy"]
         return result
     finally:
