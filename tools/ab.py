@@ -24,9 +24,9 @@ The large-k workers also time single calls of a sharing game's
 ``GameInstance.kernel`` on Dirichlet p at each (M, k) of ``KERNEL_SHAPES``,
 in alternated pairs too, and record under ``solver_work`` the ``iterations``
 and ``evaluations`` of each task's ``solve_ifd`` report, per side, from one
-untimed pass: the work behind the time. Every in-process comparison is repeated with head
-on both sides, under ``aa_in_process``: the spread that no change of code
-explains. Last, ``RUNS`` whole ``perfbench/run.py --seconds 3`` processes of
+untimed pass: the work behind the time. Every in-process comparison is
+repeated with head on both sides, under ``aa_in_process``: the spread that
+no change of code explains. Last, ``RUNS`` whole ``perfbench/run.py --seconds 3`` processes of
 each tree alternate per workload and seed, for the metrics that only a
 process shows (``setup_s``, ``cli_*``, ``peak_rss_mb``).
 
